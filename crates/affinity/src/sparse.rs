@@ -110,8 +110,8 @@ impl SparseBuilder {
         alid_exec::tune::export_tune("sparse_build", &SPARSE_BUILD_TUNE);
         {
             let shared = SharedSlice::new(&mut edge_vals);
-            exec.for_each_span_tuned_with(
-                &SPARSE_BUILD_TUNE,
+            exec.for_each_span_with(
+                Some(&SPARSE_BUILD_TUNE),
                 edge_list.len(),
                 || (BlockEval::new(), Vec::<u32>::new(), Vec::<f64>::new()),
                 |(scratch, ids, vals), span| {

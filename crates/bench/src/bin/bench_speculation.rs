@@ -41,7 +41,7 @@ use alid_bench::{print_table, save_json};
 use alid_core::{PeelStats, Peeler, SpeculationParams};
 use alid_exec::ExecPolicy;
 use alid_linalg::matrix::Mat;
-use alid_lsh::{LshIndex, LshParams, SimHashIndex, SimHashParams};
+use alid_lsh::{LshIndex, LshParams};
 use serde::{Json, Serialize};
 
 struct Cli {
@@ -185,7 +185,6 @@ fn exercise_autotuned_phases(n: usize, exec: ExecPolicy) {
     let ds = Dataset::from_flat(1, flat);
     let cost = CostModel::shared();
     let index = LshIndex::build_with(&ds, LshParams::new(6, 4, 1.0, 9), &cost, exec);
-    let _ = SimHashIndex::build_with(&ds, SimHashParams::default(), &cost, exec);
     let lists = index.neighbor_lists(&ds);
     let mut b = SparseBuilder::new(ds.len());
     b.add_neighbor_lists(&lists);

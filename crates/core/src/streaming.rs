@@ -136,16 +136,6 @@ impl StreamingAlid {
         &self.pending
     }
 
-    /// Auxiliary bytes the LSH index's tombstone compaction has
-    /// returned over this stream's lifetime. Zero today — the streaming
-    /// sweep's tombstones are transient (assigned items must stay
-    /// queryable for future attachment), so it never compacts — but the
-    /// service's sweep journal records the per-sweep delta, reserving
-    /// the frame field for the eviction work of ROADMAP item 4.
-    pub fn aux_freed_total(&self) -> u64 {
-        self.index.freed_bytes_total()
-    }
-
     // --- Persistence surface -------------------------------------------
     //
     // The accessors below, together with [`Self::from_state`], are the
@@ -156,9 +146,12 @@ impl StreamingAlid {
     // part of the surface — it is a pure function of `(params.lsh,
     // data)` and is rebuilt by replaying the insert path, which is
     // proven equivalent to the incremental build
-    // (`insert_equivalent_to_batch_build` in `alid-lsh`). Telemetry
-    // ([`Self::peel_stats`]) is excluded too: it never feeds back into
-    // detection.
+    // (`insert_equivalent_to_batch_build` in `alid-lsh`). Neither are
+    // the per-item [`Self::assignments`]: an item is assigned exactly
+    // when it is a member of some cluster (attachment and promotion
+    // both add it to `members`), so they are derived from the clusters.
+    // Telemetry ([`Self::peel_stats`]) is excluded too: it never feeds
+    // back into detection.
 
     /// The parameters this stream was configured with (persistence
     /// surface; also what a snapshot must reproduce for determinism).
@@ -200,12 +193,12 @@ impl StreamingAlid {
     /// afresh (the paper's Section 4.3 numbers describe the live
     /// process, not the snapshot history).
     ///
-    /// # Panics
-    /// Panics if `batch == 0`, if the per-item vectors of `assigned`
-    /// do not match `data`, if `clusters` and `pair_sums` lengths
-    /// differ, or if any cluster/pending/assignment index is out of
-    /// bounds — corrupt snapshots fail loudly instead of detecting
-    /// nonsense.
+    /// # Errors
+    /// Describes the first violation when `batch == 0`, when
+    /// `clusters` and `pair_sums` lengths differ, when a cluster member
+    /// or pending item is out of bounds, when an item is listed in two
+    /// clusters, or when a pending item is a cluster member — corrupt
+    /// snapshots are refused instead of detecting nonsense.
     #[allow(clippy::too_many_arguments)]
     pub fn from_state(
         params: AlidParams,
@@ -214,26 +207,33 @@ impl StreamingAlid {
         data: Dataset,
         clusters: Vec<DetectedCluster>,
         pair_sums: Vec<f64>,
-        assigned: Vec<Option<usize>>,
         pending: Vec<u32>,
         since_sweep: usize,
-    ) -> Self {
-        assert!(batch > 0, "sweep period must be positive");
-        let n = data.len();
-        assert_eq!(assigned.len(), n, "assignment vector length mismatch");
-        assert_eq!(clusters.len(), pair_sums.len(), "clusters/pair_sums length mismatch");
-        for (i, a) in assigned.iter().enumerate() {
-            if let Some(c) = a {
-                assert!(*c < clusters.len(), "item {i} assigned to unknown cluster {c}");
-            }
+    ) -> Result<Self, String> {
+        if batch == 0 {
+            return Err("sweep period must be positive".into());
         }
-        for c in &clusters {
-            for &m in &c.members {
-                assert!((m as usize) < n, "cluster member {m} out of bounds");
+        if clusters.len() != pair_sums.len() {
+            return Err("clusters/pair_sums length mismatch".into());
+        }
+        let mut assigned = vec![None; data.len()];
+        for (c, cluster) in clusters.iter().enumerate() {
+            for &m in &cluster.members {
+                match assigned.get_mut(m as usize) {
+                    None => return Err(format!("cluster member {m} out of bounds")),
+                    Some(Some(other)) => {
+                        return Err(format!("item {m} is listed in clusters {other} and {c}"))
+                    }
+                    Some(slot) => *slot = Some(c),
+                }
             }
         }
         for &p in &pending {
-            assert!((p as usize) < n, "pending item {p} out of bounds");
+            match assigned.get(p as usize) {
+                None => return Err(format!("pending item {p} out of bounds")),
+                Some(Some(c)) => return Err(format!("pending item {p} is in cluster {c}")),
+                Some(None) => {}
+            }
         }
         // Replay the insert path row by row: identical code path —
         // identical buckets — to the instance being restored.
@@ -241,7 +241,7 @@ impl StreamingAlid {
         for row in data.iter() {
             index.insert(row);
         }
-        Self {
+        Ok(Self {
             params,
             cost,
             data,
@@ -253,7 +253,7 @@ impl StreamingAlid {
             batch,
             since_sweep,
             stats: PeelStats::default(),
-        }
+        })
     }
 
     /// Most recent speculative rounds retained in
@@ -745,17 +745,7 @@ mod tests {
         // A cap above the member count takes everything.
         assert_eq!(s.merge_evidence(0, 64).sample.len(), 8);
         // A restored instance reproduces the evidence bit-for-bit.
-        let rebuilt = StreamingAlid::from_state(
-            *s.params(),
-            s.batch(),
-            CostModel::shared(),
-            s.data().clone(),
-            s.clusters().to_vec(),
-            s.pair_sums().to_vec(),
-            s.assignments().to_vec(),
-            s.pending().to_vec(),
-            s.since_sweep(),
-        );
+        let rebuilt = restore(&s).expect("restore");
         let rev = rebuilt.merge_evidence(0, 3);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&ev.centroid), bits(&rev.centroid));
@@ -792,17 +782,8 @@ mod tests {
 
         let mut first = stream();
         feed(&mut first, 0..37); // mid-batch: since_sweep != 0
-        let mut resumed = StreamingAlid::from_state(
-            *first.params(),
-            first.batch(),
-            CostModel::shared(),
-            first.data().clone(),
-            first.clusters().to_vec(),
-            first.pair_sums().to_vec(),
-            first.assignments().to_vec(),
-            first.pending().to_vec(),
-            first.since_sweep(),
-        );
+        let mut resumed = restore(&first).expect("restore");
+        assert_eq!(resumed.assignments(), first.assignments(), "derived from membership");
         feed(&mut resumed, 37..60);
 
         assert_eq!(resumed.assignments(), uninterrupted.assignments());
@@ -820,20 +801,63 @@ mod tests {
         assert_eq!(ap, bp, "incremental density state diverged");
     }
 
-    #[test]
-    #[should_panic(expected = "unknown cluster")]
-    fn from_state_rejects_dangling_assignment() {
-        let _ = StreamingAlid::from_state(
-            params(),
-            8,
+    /// `s`'s persisted state with its clusters, pair sums and pending
+    /// buffer swapped in — how the tests fake a corrupt snapshot.
+    fn from_parts(
+        s: &StreamingAlid,
+        clusters: Vec<DetectedCluster>,
+        pair_sums: Vec<f64>,
+        pending: Vec<u32>,
+    ) -> Result<StreamingAlid, String> {
+        StreamingAlid::from_state(
+            *s.params(),
+            s.batch(),
             CostModel::shared(),
-            Dataset::from_flat(1, vec![0.0]),
-            Vec::new(),
-            Vec::new(),
-            vec![Some(3)],
-            Vec::new(),
-            0,
-        );
+            s.data().clone(),
+            clusters,
+            pair_sums,
+            pending,
+            s.since_sweep(),
+        )
+    }
+
+    /// Round-trips `s` through the persistence surface.
+    fn restore(s: &StreamingAlid) -> Result<StreamingAlid, String> {
+        from_parts(s, s.clusters().to_vec(), s.pair_sums().to_vec(), s.pending().to_vec())
+    }
+
+    /// One 8-item cluster plus one buffered noise item (id 8).
+    fn clustered_stream() -> StreamingAlid {
+        let mut s = stream();
+        for i in 0..8 {
+            s.push(&[i as f64 * 0.05]);
+        }
+        s.push(&[500.0]);
+        assert_eq!((s.clusters().len(), s.pending()), (1, &[8][..]));
+        s
+    }
+
+    #[test]
+    fn from_state_rejects_dangling_assignment() {
+        let dangling = DetectedCluster { members: vec![99], weights: vec![1.0], density: 1.0 };
+        let res = from_parts(&clustered_stream(), vec![dangling], vec![0.0], Vec::new());
+        assert!(res.err().expect("refused").contains("out of bounds"));
+    }
+
+    #[test]
+    fn from_state_rejects_an_item_in_two_clusters() {
+        let s = clustered_stream();
+        let twice = vec![s.clusters()[0].clone(), s.clusters()[0].clone()];
+        let res = from_parts(&s, twice, vec![0.0; 2], s.pending().to_vec());
+        assert!(res.err().expect("refused").contains("clusters 0 and 1"));
+    }
+
+    #[test]
+    fn from_state_rejects_a_pending_cluster_member() {
+        let s = clustered_stream();
+        let pending = vec![8, s.clusters()[0].members[0]];
+        let res = from_parts(&s, s.clusters().to_vec(), s.pair_sums().to_vec(), pending);
+        assert!(res.err().expect("refused").contains("is in cluster 0"));
     }
 
     #[test]

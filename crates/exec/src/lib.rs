@@ -14,24 +14,26 @@
 //! * [`ExecPolicy::for_each_index`] — a *static, strided* partition of
 //!   an index range, for uniform workloads that write disjoint slots
 //!   (dense matrix rows);
-//! * [`ExecPolicy::map_indexed`] / [`ExecPolicy::map_tasks`] — a
-//!   *work-stealing* task pool over an index range, for irregular
-//!   workloads (one ALID detection per seed), with results returned in
-//!   **task order** regardless of which worker ran what.
+//! * [`ExecPolicy::for_each_span_with`] — a *work-stealing* schedule
+//!   handing workers contiguous spans of an index range, for batched
+//!   or irregular work; [`ExecPolicy::map_indexed`] /
+//!   [`ExecPolicy::map_tasks`] run on it (one ALID detection per seed)
+//!   and return results in **task order** regardless of which worker
+//!   ran what.
 //!
 //! Both shapes are deterministic: the value computed for index `i`
-//! depends only on `i`, never on scheduling, and `map_indexed` restores
-//! task order before returning — so any `workers >= 1` produces the
-//! same output, and `workers == 1` degenerates to a plain loop on the
+//! depends only on `i`, never on scheduling, and `map_indexed` writes
+//! result `i` into slot `i` — so any `workers >= 1` produces the same
+//! output, and `workers == 1` degenerates to a plain loop on the
 //! calling thread with zero thread overhead (the sequential fallback).
 //!
-//! Uniform work-stealing phases can additionally *autotune* their chunk
-//! size: [`ExecPolicy::map_indexed_tuned`] and
-//! [`ExecPolicy::for_each_index_tuned_with`] time each chunk they run
-//! and feed the observed per-item cost back into a per-call-site
-//! [`TuneState`] handle, so cheap bodies get large chunks (amortizing
-//! the shared cursor) and expensive bodies small ones (load balance) —
-//! without the caller guessing. See [`tune`] for why timing noise can
+//! Uniform span phases can additionally *autotune* their chunk size:
+//! given a per-call-site [`TuneState`] handle,
+//! [`ExecPolicy::for_each_span_with`] times each span it runs and feeds
+//! the observed per-item cost back into the handle, so cheap bodies get
+//! large chunks (amortizing the shared cursor) and expensive bodies
+//! small ones (load balance) — without the caller guessing. Untuned
+//! phases never read the clock. See [`tune`] for why timing noise can
 //! never reach the output bytes.
 //!
 //! [`SharedSlice`] is the escape hatch for partitioned writes into one
@@ -51,9 +53,10 @@
 #![warn(missing_docs)]
 
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 mod pool;
@@ -161,221 +164,113 @@ impl ExecPolicy {
         });
     }
 
-    /// Computes `f(i)` for every `i` in `0..n` on a **work-stealing
-    /// task pool** and returns the results **in index order**.
+    /// Applies `f` to disjoint spans covering `0..n` on a
+    /// **work-stealing** schedule: workers steal `chunk` consecutive
+    /// indices at a time from a shared atomic cursor, so irregular
+    /// per-index costs self-balance, and each steal reaches `f` as one
+    /// span `start..end` — the body can batch-process a contiguous run
+    /// (gather rows once, evaluate a kernel block, write a slab of
+    /// results) without paying a closure call per index. `init()` runs
+    /// once per logical worker, as in [`Self::for_each_index_with`].
     ///
-    /// Workers steal chunks of `chunk` consecutive indices from a
-    /// shared atomic cursor, so irregular per-task costs self-balance;
-    /// a chunk of 1 is the classic one-task-at-a-time queue. Despite
-    /// the dynamic schedule the output is deterministic: slot `i` of
-    /// the result always holds `f(i)`.
-    pub fn map_indexed_chunked<R, F>(&self, n: usize, chunk: usize, f: F) -> Vec<R>
+    /// With `tune` set, the chunk comes from that per-call-site
+    /// [`TuneState`] and each span's duration is fed back into it (see
+    /// [`tune`]); without it the chunk is the fixed heuristic and the
+    /// phase never reads the clock. The sequential path runs one span
+    /// `0..n`.
+    ///
+    /// The phase's observable effect for index `i` must be independent
+    /// of *how `0..n` is cut into spans* — any partition into disjoint,
+    /// covering ranges must produce byte-identical output. Batched
+    /// kernel evaluation satisfies this because each pair's
+    /// accumulation stays private to its own lane (see `alid-affinity`'s
+    /// `block` module); a body that carried state across the indices of
+    /// one span would not. Triangular workloads should stay on the
+    /// strided [`Self::for_each_index`], whose partition balances them
+    /// without needing measurements.
+    pub fn for_each_span_with<S, I, F>(&self, tune: Option<&TuneState>, n: usize, init: I, f: F)
     where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, Range<usize>) + Sync,
     {
-        self.map_indexed_inner(n, chunk, f, None)
-    }
-
-    /// [`Self::map_indexed_chunked`] with the chunk size drawn from —
-    /// and the phase's measured per-item cost fed back into — a
-    /// per-call-site [`TuneState`] (see [`tune`] for the feedback loop
-    /// and why determinism is untouched).
-    pub fn map_indexed_tuned<R, F>(&self, tune: &TuneState, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.workers.get();
-        let chunk = tune.chunk_for(n, workers);
-        self.map_indexed_inner(n, chunk, f, Some(tune))
-    }
-
-    /// The shared chunked-map engine: a work-stealing cursor over
-    /// `0..n` in steps of `chunk`, results restored to index order.
-    /// With `tune` set, each chunk's duration is measured and the
-    /// phase's total (items, busy-nanos) is folded into the handle.
-    fn map_indexed_inner<R, F>(
-        &self,
-        n: usize,
-        chunk: usize,
-        f: F,
-        tune: Option<&TuneState>,
-    ) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        assert!(chunk >= 1, "chunk size must be at least 1");
-        let workers = self.workers.get().min(n.max(1));
-        if workers <= 1 || n <= 1 {
+        if n == 0 {
+            return;
+        }
+        let workers = self.workers.get().min(n);
+        if workers <= 1 {
             // Untuned phases skip the clock entirely — the sequential
             // fallback is the hot path for latency-bound fan-out.
-            let Some(tune) = tune else { return (0..n).map(f).collect() };
+            let Some(tune) = tune else { return f(&mut init(), 0..n) };
             let started = Instant::now();
-            let out: Vec<R> = (0..n).map(f).collect();
+            f(&mut init(), 0..n);
             tune.record(n, started.elapsed().as_nanos() as u64);
-            return out;
+            return;
         }
+        let chunk = match tune {
+            Some(tune) => tune.chunk_for(n, workers),
+            None => tune::heuristic_chunk(n, workers),
+        };
         let cursor = AtomicUsize::new(0);
         let busy_nanos = AtomicU64::new(0);
-        let gathered: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
         pool::global().run_phase(workers, &|_t| {
-            let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+            let mut scratch = init();
             let mut local_nanos = 0u64;
             loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= n {
                     break;
                 }
-                let end = (start + chunk).min(n);
+                let span = start..(start + chunk).min(n);
                 if tune.is_some() {
                     let t0 = Instant::now();
-                    local.push((start, (start..end).map(&f).collect()));
+                    f(&mut scratch, span);
                     local_nanos += t0.elapsed().as_nanos() as u64;
                 } else {
-                    local.push((start, (start..end).map(&f).collect()));
+                    f(&mut scratch, span);
                 }
             }
             if local_nanos > 0 {
                 busy_nanos.fetch_add(local_nanos, Ordering::Relaxed);
             }
-            gathered.lock().expect("result mutex").append(&mut local);
         });
         if let Some(tune) = tune {
             tune.record(n, busy_nanos.load(Ordering::Relaxed));
         }
-        let mut batches = gathered.into_inner().expect("result mutex");
-        batches.sort_unstable_by_key(|&(start, _)| start);
-        let mut out = Vec::with_capacity(n);
-        for (_, mut batch) in batches {
-            out.append(&mut batch);
-        }
-        debug_assert_eq!(out.len(), n);
-        out
     }
 
-    /// [`Self::for_each_index_with`] on an autotuned **work-stealing
-    /// chunked** schedule instead of the static stride: workers steal
-    /// `chunk` consecutive indices at a time, where `chunk` comes from
-    /// the per-call-site [`TuneState`] and each phase's measured
-    /// per-item cost is fed back into it.
-    ///
-    /// Use this for *uniform* per-index work with disjoint writes (LSH
-    /// key computation, sparse-edge kernel evaluation); triangular
-    /// workloads should stay on the strided
-    /// [`Self::for_each_index`], whose partition balances them without
-    /// needing measurements. Determinism is untouched: `f` still sees
-    /// every index in `0..n` exactly once and must leave index `i`'s
-    /// output independent of the scratch's prior contents, so which
-    /// worker ran which chunk can never reach the output.
-    pub fn for_each_index_tuned_with<S, I, F>(&self, tune: &TuneState, n: usize, init: I, f: F)
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers.get().min(n);
-        if workers <= 1 || n <= 1 {
-            let started = Instant::now();
-            let mut scratch = init();
-            for i in 0..n {
-                f(&mut scratch, i);
-            }
-            tune.record(n, started.elapsed().as_nanos() as u64);
-            return;
-        }
-        let chunk = tune.chunk_for(n, workers);
-        let cursor = AtomicUsize::new(0);
-        let busy_nanos = AtomicU64::new(0);
-        pool::global().run_phase(workers, &|_t| {
-            let mut scratch = init();
-            let mut local_nanos = 0u64;
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                let t0 = Instant::now();
-                for i in start..end {
-                    f(&mut scratch, i);
-                }
-                local_nanos += t0.elapsed().as_nanos() as u64;
-            }
-            busy_nanos.fetch_add(local_nanos, Ordering::Relaxed);
-        });
-        tune.record(n, busy_nanos.load(Ordering::Relaxed));
-    }
-
-    /// [`Self::for_each_index_tuned_with`] handing each worker **whole
-    /// stolen spans** `start..end` instead of single indices, so the
-    /// body can batch-process a contiguous run (gather rows once,
-    /// evaluate a kernel block, write a slab of results) without paying
-    /// a closure call per index.
-    ///
-    /// The contract tightens accordingly: the phase's observable effect
-    /// for index `i` must be independent of *how `0..n` is cut into
-    /// spans* — any partition into disjoint, covering ranges must
-    /// produce byte-identical output. Batched kernel evaluation
-    /// satisfies this because each pair's accumulation stays private to
-    /// its own lane (see `alid-affinity`'s `block` module); a body that
-    /// carried state across the indices of one span would not.
-    ///
-    /// The sequential path runs one span `0..n`; the parallel path
-    /// steals spans of the tuned chunk size and feeds the measured
-    /// per-item cost back, exactly like the per-index variant.
-    pub fn for_each_span_tuned_with<S, I, F>(&self, tune: &TuneState, n: usize, init: I, f: F)
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, std::ops::Range<usize>) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers.get().min(n);
-        if workers <= 1 || n <= 1 {
-            let started = Instant::now();
-            let mut scratch = init();
-            f(&mut scratch, 0..n);
-            tune.record(n, started.elapsed().as_nanos() as u64);
-            return;
-        }
-        let chunk = tune.chunk_for(n, workers);
-        let cursor = AtomicUsize::new(0);
-        let busy_nanos = AtomicU64::new(0);
-        pool::global().run_phase(workers, &|_t| {
-            let mut scratch = init();
-            let mut local_nanos = 0u64;
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                let t0 = Instant::now();
-                f(&mut scratch, start..end);
-                local_nanos += t0.elapsed().as_nanos() as u64;
-            }
-            busy_nanos.fetch_add(local_nanos, Ordering::Relaxed);
-        });
-        tune.record(n, busy_nanos.load(Ordering::Relaxed));
-    }
-
-    /// [`Self::map_indexed_chunked`] with a heuristic chunk size:
-    /// one-at-a-time below 4 tasks per worker (latency-bound fan-out,
-    /// e.g. ALID detections), and `n / (8 * workers)` above it
-    /// (throughput-bound sweeps).
+    /// Computes `f(i)` for every `i` in `0..n` on the untuned
+    /// [`Self::for_each_span_with`] schedule and returns the results
+    /// **in index order**: each result is written straight into its
+    /// own slot, so despite the dynamic schedule slot `i` always holds
+    /// `f(i)`.
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let workers = self.workers.get();
-        let chunk = if n < 4 * workers { 1 } else { (n / (8 * workers)).max(1) };
-        self.map_indexed_chunked(n, chunk, f)
+        let mut out = Vec::with_capacity(n);
+        {
+            let slots = SharedSlice::new(&mut out.spare_capacity_mut()[..n]);
+            self.for_each_span_with(
+                None,
+                n,
+                || (),
+                |(), span| {
+                    for i in span {
+                        // SAFETY: spans are disjoint, so slot i is
+                        // written by exactly one worker.
+                        unsafe { slots.write(i, MaybeUninit::new(f(i))) };
+                    }
+                },
+            );
+        }
+        // SAFETY: `for_each_span_with` returns normally only after spans
+        // covering all of `0..n` ran to completion (a panic in `f` is
+        // rethrown instead, unwinding past this line and merely leaking
+        // the results already written), so every slot below `n` is
+        // initialised.
+        unsafe { out.set_len(n) };
+        out
     }
 
     /// Maps `f` over a task slice on the work-stealing pool, results in
@@ -490,20 +385,18 @@ mod tests {
 
     #[test]
     fn map_indexed_returns_results_in_task_order() {
-        let expected: Vec<usize> = (0..57).map(|i| i * i).collect();
         for workers in [1usize, 2, 5] {
-            for chunk in [1usize, 3, 64] {
-                let got = ExecPolicy::workers(workers).map_indexed_chunked(57, chunk, |i| i * i);
-                assert_eq!(got, expected, "workers={workers} chunk={chunk}");
+            // Below 4 tasks per worker the heuristic steals one task at
+            // a time; far above it, multi-task spans.
+            let (below, above) = (4 * workers - 1, 1000);
+            assert_eq!(tune::heuristic_chunk(below, workers), 1);
+            assert!(tune::heuristic_chunk(above, workers) > 1);
+            for n in [0, 1, below, above] {
+                let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
+                let got = ExecPolicy::workers(workers).map_indexed(n, |i| i * i);
+                assert_eq!(got, expected, "workers={workers} n={n}");
             }
         }
-    }
-
-    #[test]
-    fn map_indexed_heuristic_matches_sequential() {
-        let seq = ExecPolicy::sequential().map_indexed(200, |i| 3 * i + 1);
-        let par = ExecPolicy::workers(4).map_indexed(200, |i| 3 * i + 1);
-        assert_eq!(seq, par);
     }
 
     #[test]
@@ -524,105 +417,65 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_empty_and_single() {
-        let empty: Vec<usize> = ExecPolicy::workers(4).map_indexed(0, |i| i);
-        assert!(empty.is_empty());
-        assert_eq!(ExecPolicy::workers(4).map_indexed(1, |i| i + 9), vec![9]);
-    }
-
-    #[test]
-    fn map_indexed_tuned_matches_sequential_for_any_tune_state() {
-        let expected: Vec<usize> = (0..311).map(|i| i * 7 + 1).collect();
-        // Fresh, converged-cheap and converged-expensive states must all
-        // produce identical results at every worker count.
-        for prime in [None, Some((1_000_000usize, 50_000_000u64)), Some((100, 50_000_000))] {
-            let tune = TuneState::new();
-            if let Some((items, nanos)) = prime {
-                tune.record(items, nanos);
-            }
-            for workers in [1usize, 2, 4, 8] {
-                let got = ExecPolicy::workers(workers).map_indexed_tuned(&tune, 311, |i| i * 7 + 1);
-                assert_eq!(got, expected, "workers={workers} prime={prime:?}");
+    fn for_each_span_with_covers_every_index_exactly_once() {
+        // Untuned, then fresh, converged-cheap and converged-expensive
+        // tuners: every schedule must hand out each index exactly once,
+        // with the scratch threaded through every span of a worker, and
+        // every tuned phase feeds back one sample and steals chunks
+        // within the ceiling.
+        let primes = [None, Some((1_000_000usize, 50_000_000u64)), Some((100, 50_000_000))];
+        for workers in [1usize, 2, 3, 7] {
+            let tuners = primes.map(|prime| {
+                let tune = TuneState::new();
+                if let Some((items, nanos)) = prime {
+                    tune.record(items, nanos);
+                }
+                tune
+            });
+            let schedules = std::iter::once(None).chain(tuners.iter().map(Some));
+            for (k, tune) in schedules.enumerate() {
+                let primed = tune.map_or(0, |t| t.snapshot().samples);
+                let n = 203;
+                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                ExecPolicy::workers(workers).for_each_span_with(
+                    tune,
+                    n,
+                    || 0u64,
+                    |scratch, span| {
+                        for i in span {
+                            *scratch = scratch.wrapping_add(1);
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                );
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "{workers} workers, schedule {k}: missed or repeated an index"
+                );
+                if let Some(tune) = tune {
+                    let snap = tune.snapshot();
+                    assert_eq!(snap.samples, primed + 1, "{workers} workers, schedule {k}");
+                    let ceiling = n / (4 * workers);
+                    assert!(workers == 1 || (1..=ceiling).contains(&snap.last_chunk), "{k}");
+                }
             }
         }
     }
 
     #[test]
-    fn tuned_phases_feed_samples_back() {
+    fn for_each_span_with_sequential_path_sees_one_span() {
         let tune = TuneState::new();
-        assert_eq!(tune.snapshot().samples, 0);
-        let _ =
-            ExecPolicy::workers(2).map_indexed_tuned(&tune, 500, |i| std::hint::black_box(i * i));
-        let snap = tune.snapshot();
-        assert_eq!(snap.samples, 1, "one phase, one sample");
-        assert!(snap.last_chunk >= 1);
-        // A later phase through the same handle derives its chunk from
-        // the measurement (it may or may not differ from the heuristic,
-        // but it must stay within the steal ceiling).
-        let _ = ExecPolicy::workers(2).map_indexed_tuned(&tune, 500, |i| i);
-        assert!(tune.snapshot().last_chunk <= 500 / 2);
-        assert_eq!(tune.snapshot().samples, 2);
-    }
-
-    #[test]
-    fn for_each_index_tuned_with_covers_every_index_exactly_once() {
-        for workers in [1usize, 2, 3, 7] {
-            let tune = TuneState::new();
-            let n = 203;
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            ExecPolicy::workers(workers).for_each_index_tuned_with(
-                &tune,
-                n,
-                || 0u64,
-                |scratch, i| {
-                    *scratch = scratch.wrapping_add(1);
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{workers} workers missed or repeated an index"
-            );
-            assert!(tune.snapshot().samples >= 1, "{workers} workers fed no sample");
-        }
-    }
-
-    #[test]
-    fn for_each_span_tuned_with_covers_every_index_exactly_once() {
-        for workers in [1usize, 2, 3, 7] {
-            let tune = TuneState::new();
-            let n = 203;
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            ExecPolicy::workers(workers).for_each_span_tuned_with(
-                &tune,
-                n,
+        for schedule in [None, Some(&tune)] {
+            let spans = std::sync::Mutex::new(Vec::new());
+            ExecPolicy::sequential().for_each_span_with(
+                schedule,
+                97,
                 || (),
-                |(), span| {
-                    for i in span {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                },
+                |(), span| spans.lock().unwrap().push((span.start, span.end)),
             );
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{workers} workers missed or repeated an index"
-            );
-            assert!(tune.snapshot().samples >= 1, "{workers} workers fed no sample");
+            assert_eq!(*spans.lock().unwrap(), vec![(0, 97)]);
         }
-    }
-
-    #[test]
-    fn for_each_span_tuned_with_sequential_path_sees_one_span() {
-        let tune = TuneState::new();
-        let spans = Mutex::new(Vec::new());
-        ExecPolicy::sequential().for_each_span_tuned_with(
-            &tune,
-            97,
-            || (),
-            |(), span| spans.lock().unwrap().push((span.start, span.end)),
-        );
-        assert_eq!(*spans.lock().unwrap(), vec![(0, 97)]);
-        assert_eq!(tune.snapshot().samples, 1);
+        assert_eq!(tune.snapshot().samples, 1, "only the tuned phase records");
     }
 
     #[test]

@@ -1,28 +1,30 @@
-//! Chunk-size autotuning for the work-stealing execution shapes.
+//! Chunk-size autotuning for the work-stealing span schedule.
 //!
-//! The fixed heuristic of [`ExecPolicy::map_indexed`] picks a chunk
-//! size from `n` and the worker count alone, so it cannot tell a
-//! 50 ns kernel evaluation from a 50 µs LSH signature: cheap bodies
-//! want big chunks (amortize the shared-cursor `fetch_add` and the
-//! per-chunk allocation), expensive bodies want small ones (load
-//! balance). A [`TuneState`] closes that loop per *call site*: the
-//! tuned execution shapes time every chunk they run, fold the observed
-//! per-item cost into an exponential moving average stored in the
-//! handle, and later phases through the same handle size their chunks
-//! to hit [`TARGET_CHUNK_NANOS`] of work per steal.
+//! The fixed heuristic ([`heuristic_chunk`], what untuned phases such
+//! as [`ExecPolicy::map_indexed`] use) picks a chunk size from `n` and
+//! the worker count alone, so it cannot tell a 50 ns kernel evaluation
+//! from a 50 µs LSH signature: cheap bodies want big chunks (amortize
+//! the shared-cursor `fetch_add`), expensive bodies want small ones
+//! (load balance). A [`TuneState`] closes that loop per *call site*:
+//! [`ExecPolicy::for_each_span_with`] given a handle times every span
+//! it runs, folds the observed per-item cost into an exponential moving
+//! average stored in the handle, and later phases through the same
+//! handle size their chunks to hit [`TARGET_CHUNK_NANOS`] of work per
+//! steal.
 //!
 //! # Why determinism survives
 //!
 //! The chunk size only decides how the index range `0..n` is cut into
 //! steals — *which* worker computes which index, and how many indices
-//! travel per cursor bump. The tuned shapes inherit the layer's core
-//! contract: the value computed for index `i` depends only on `i`, and
-//! results are restored to index order before returning. Timing noise
-//! therefore moves wall-clock time and nothing else; the parity suite
+//! travel per cursor bump. Tuned phases inherit the layer's core
+//! contract: the value computed for index `i` depends only on `i`,
+//! never on where the spans were cut. Timing noise therefore moves
+//! wall-clock time and nothing else; the parity suite
 //! (`tests/exec_parity.rs`) pins this by running autotuned phases at
 //! many worker counts against the 1-worker baseline.
 //!
 //! [`ExecPolicy::map_indexed`]: crate::ExecPolicy::map_indexed
+//! [`ExecPolicy::for_each_span_with`]: crate::ExecPolicy::for_each_span_with
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -42,21 +44,33 @@ const MIN_CHUNKS_PER_WORKER: usize = 4;
 /// the chunk size by more than ~2x).
 const SAMPLE_WEIGHT: f64 = 0.3;
 
+/// The untuned chunk size for `n` items on `workers` workers:
+/// one-at-a-time below 4 tasks per worker (latency-bound fan-out, e.g.
+/// ALID detections), and `n / (8 * workers)` above it (throughput-bound
+/// sweeps) — eight steals per worker, well inside the
+/// [`MIN_CHUNKS_PER_WORKER`] ceiling.
+pub(crate) fn heuristic_chunk(n: usize, workers: usize) -> usize {
+    let workers = workers.max(1);
+    if n < 4 * workers {
+        1
+    } else {
+        (n / (8 * workers)).max(1)
+    }
+}
+
 /// A per-call-site chunk autotuner handle.
 ///
 /// Declare one `static` per tuned call site and pass it to
-/// [`ExecPolicy::map_indexed_tuned`] /
-/// [`ExecPolicy::for_each_index_tuned_with`]; the handle accumulates
-/// that site's measured per-item cost across phases (and across
-/// differently sized inputs — the cost model is per *item*, so the
-/// chunk adapts to each `n` at call time).
+/// [`ExecPolicy::for_each_span_with`]; the handle accumulates that
+/// site's measured per-item cost across phases (and across differently
+/// sized inputs — the cost model is per *item*, so the chunk adapts to
+/// each `n` at call time).
 ///
 /// All state is atomic: concurrent phases through one handle race only
 /// on which sample lands last, never on memory safety, and a lost
 /// sample merely delays convergence by one phase.
 ///
-/// [`ExecPolicy::map_indexed_tuned`]: crate::ExecPolicy::map_indexed_tuned
-/// [`ExecPolicy::for_each_index_tuned_with`]: crate::ExecPolicy::for_each_index_tuned_with
+/// [`ExecPolicy::for_each_span_with`]: crate::ExecPolicy::for_each_span_with
 #[derive(Debug)]
 pub struct TuneState {
     /// EMA of per-item cost in nanoseconds, as `f64` bits. 0 = no
@@ -96,20 +110,15 @@ impl TuneState {
     ///
     /// With at least one sample: `TARGET_CHUNK_NANOS / per_item_ns`,
     /// clamped so every worker still gets [`MIN_CHUNKS_PER_WORKER`]
-    /// steals. Without samples: the same shape the untuned
-    /// [`ExecPolicy::map_indexed`] heuristic uses.
-    ///
-    /// [`ExecPolicy::map_indexed`]: crate::ExecPolicy::map_indexed
+    /// steals. Without samples: the untuned [`heuristic_chunk`].
     pub fn chunk_for(&self, n: usize, workers: usize) -> usize {
         let workers = workers.max(1);
-        let ceiling = (n / (MIN_CHUNKS_PER_WORKER * workers)).max(1);
         let per_item = f64::from_bits(self.per_item_ns.load(Ordering::Relaxed));
         let chunk = if per_item > 0.0 {
+            let ceiling = (n / (MIN_CHUNKS_PER_WORKER * workers)).max(1);
             (TARGET_CHUNK_NANOS / per_item).floor().max(1.0).min(ceiling as f64) as usize
-        } else if n < 4 * workers {
-            1
         } else {
-            (n / (8 * workers)).max(1).min(ceiling)
+            heuristic_chunk(n, workers)
         };
         self.last_chunk.store(chunk, Ordering::Relaxed);
         chunk

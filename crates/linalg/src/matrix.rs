@@ -132,17 +132,19 @@ impl Mat {
         let cols = other.cols;
         {
             let shared = SharedSlice::new(&mut out.data);
-            exec.for_each_index_tuned_with(
-                &MATMUL_TUNE,
+            exec.for_each_span_with(
+                Some(&MATMUL_TUNE),
                 self.rows,
                 || vec![0.0f64; cols],
-                |orow, i| {
-                    orow.fill(0.0);
-                    Self::accumulate_row(self.row(i), other, orow);
-                    for (j, &v) in orow.iter().enumerate() {
-                        // SAFETY: row i's slots are written only by the
-                        // worker that owns index i.
-                        unsafe { shared.write(i * cols + j, v) };
+                |orow, span| {
+                    for i in span {
+                        orow.fill(0.0);
+                        Self::accumulate_row(self.row(i), other, orow);
+                        for (j, &v) in orow.iter().enumerate() {
+                            // SAFETY: row i's slots are written only by
+                            // the worker whose span holds index i.
+                            unsafe { shared.write(i * cols + j, v) };
+                        }
                     }
                 },
             );

@@ -29,15 +29,12 @@ use crate::{Config, Finding};
 /// `ExecPolicy` / pool dispatch entry points: running one of these
 /// while holding a shard guard re-creates the PR 4 deadlock class (a
 /// waiter helping a foreign job that needs the held lock).
-pub const EXEC_DISPATCH: [&str; 9] = [
+pub const EXEC_DISPATCH: [&str; 6] = [
     "map_indexed",
-    "map_indexed_chunked",
-    "map_indexed_tuned",
     "map_tasks",
     "for_each_index",
     "for_each_index_with",
-    "for_each_index_tuned_with",
-    "for_each_span_tuned_with",
+    "for_each_span_with",
     "run_phase",
 ];
 

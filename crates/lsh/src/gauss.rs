@@ -1,10 +1,10 @@
-//! Box–Muller standard-normal sampling, shared by every hash family.
+//! Box–Muller standard-normal sampling, shared by the p-stable index
+//! and the shard router.
 //!
 //! The rand shim's core crate has no normal distribution; one local
-//! implementation keeps the dependency set minimal and guarantees the
-//! p-stable index, the SimHash index and the shard router all draw
-//! their projections from exactly the same generator — a seed means
-//! the same hyperplanes everywhere.
+//! implementation keeps the dependency set minimal and guarantees both
+//! draw their projections from exactly the same generator — a seed
+//! means the same directions everywhere.
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -30,9 +30,9 @@ struct Table {
     /// Offsets `b ~ U[0, r)`, one per projection.
     offsets: Vec<f64>,
     /// Bucket key -> item ids (insertion order within a bucket).
-    /// BTreeMap so whole-table iteration (`large_buckets`, the sparse
-    /// degree estimate) runs in ascending key order — hash-map order
-    /// would silently couple seed sampling to the hasher.
+    /// BTreeMap so whole-table iteration (`large_buckets`) runs in
+    /// ascending key order — hash-map order would silently couple seed
+    /// sampling to the hasher.
     buckets: BTreeMap<u64, Vec<u32>>,
 }
 
@@ -56,8 +56,6 @@ pub struct LshIndex {
     /// [`Self::restore_all`].
     retired: Vec<bool>,
     retired_count: usize,
-    /// Aux bytes returned to the cost model by compaction so far.
-    freed_bytes: u64,
     /// Shared cost model: build records the O(n*l) hash-table memory,
     /// and every streaming insert records its own growth so Section 4.3
     /// memory reports stay truthful as the stream runs.
@@ -107,7 +105,6 @@ impl LshIndex {
             alive_count: n,
             retired: vec![false; n],
             retired_count: 0,
-            freed_bytes: 0,
             cost: Arc::clone(cost),
             scratch: vec![0u64; params.projections],
         };
@@ -118,17 +115,20 @@ impl LshIndex {
         let mut keys = vec![0u64; n * table_count];
         {
             let shared = SharedSlice::new(&mut keys);
-            exec.for_each_index_tuned_with(
-                &LSH_BUILD_TUNE,
+            exec.for_each_span_with(
+                Some(&LSH_BUILD_TUNE),
                 n,
                 || vec![0u64; params.projections],
-                |signature, id| {
-                    let row = ds.get(id);
-                    for t in 0..table_count {
-                        let key = index.key_into(t, row, signature);
-                        // SAFETY: the (id, t) slots of item `id` are
-                        // written only by the worker that owns `id`.
-                        unsafe { shared.write(id * table_count + t, key) };
+                |signature, span| {
+                    for id in span {
+                        let row = ds.get(id);
+                        for t in 0..table_count {
+                            let key = index.key_into(t, row, signature);
+                            // SAFETY: the (id, t) slots of item `id` are
+                            // written only by the worker whose span
+                            // holds `id`.
+                            unsafe { shared.write(id * table_count + t, key) };
+                        }
                     }
                 },
             );
@@ -281,14 +281,7 @@ impl LshIndex {
         self.retired = retired;
         let freed = dropped * 4;
         self.cost.release_aux_bytes(freed);
-        self.freed_bytes += freed;
         freed
-    }
-
-    /// Total auxiliary bytes [`Self::compact_tombstones`] has returned
-    /// over this index's lifetime.
-    pub fn freed_bytes_total(&self) -> u64 {
-        self.freed_bytes
     }
 
     /// Computes the bucket key of `v` in table `t`, reusing `signature`
@@ -376,28 +369,6 @@ impl LshIndex {
     pub fn bucket_count(&self) -> usize {
         self.tables.iter().map(|t| t.buckets.len()).sum()
     }
-
-    /// Estimated sparse degree of the neighbour-list sparsification:
-    /// `1 - (expected stored entries) / n^2`, computed exactly from the
-    /// current buckets without materialising the lists.
-    pub fn estimated_sparse_degree(&self) -> f64 {
-        if self.n == 0 {
-            return 1.0;
-        }
-        // Union over tables is approximated by counting distinct pairs
-        // per item via merged buckets; exact computation would need the
-        // pairwise union, so sample-free upper bound: sum over tables of
-        // bucket-pair counts, capped at n^2.
-        let mut pairs = 0f64;
-        for t in &self.tables {
-            for bucket in t.buckets.values() {
-                let k = bucket.iter().filter(|&&id| self.alive[id as usize]).count() as f64;
-                pairs += k * (k - 1.0);
-            }
-        }
-        let total = self.n as f64 * self.n as f64;
-        (1.0 - pairs / total).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -484,14 +455,6 @@ mod tests {
         assert!(lists[2].is_empty(), "tombstoned items get empty lists");
         assert!(!lists[0].contains(&0), "self excluded");
         assert!(!lists[0].contains(&2), "tombstoned neighbours excluded");
-    }
-
-    #[test]
-    fn larger_r_lowers_sparse_degree() {
-        let ds = blob_dataset();
-        let tight = build(&ds, 0.05);
-        let loose = build(&ds, 5.0);
-        assert!(tight.estimated_sparse_degree() >= loose.estimated_sparse_degree());
     }
 
     #[test]
@@ -609,7 +572,6 @@ mod tests {
         assert!(idx.should_compact(), "more than half the corpus is dead");
         let freed = idx.compact_tombstones();
         assert_eq!(freed, 21 * 4 * 4, "4 bytes per (retired id, table)");
-        assert_eq!(idx.freed_bytes_total(), freed);
         assert_eq!(cost.snapshot().aux_bytes, base - freed);
         // Retirement is permanent: restore_all revives only the rest.
         idx.restore_all();
@@ -639,11 +601,6 @@ mod tests {
                 "query {probe} diverged after compaction"
             );
         }
-        assert_eq!(
-            plain.estimated_sparse_degree(),
-            compacted.estimated_sparse_degree(),
-            "sparse-degree estimate must not see compaction"
-        );
         // Inserts after compaction keep working with fresh ids.
         let id = compacted.insert(&[50.05, 49.95]);
         assert!(compacted.query(&[50.05, 49.95]).contains(&id));

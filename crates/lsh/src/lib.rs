@@ -19,6 +19,10 @@
 //! tombstone deletion so the peeling loop can retire detected clusters
 //! without rebuilding, and keeps an inverted list from item to buckets
 //! (the paper stores the same and skips storing hash keys).
+//!
+//! The crate also hosts the service's [`ShardRouter`], which routes
+//! vectors to shards by one seeded sign-random-projection (SimHash)
+//! signature drawn from the same Gaussian generator.
 
 #![warn(missing_docs)]
 pub mod collision;
@@ -26,10 +30,8 @@ mod gauss;
 pub mod index;
 pub mod params;
 pub mod route;
-pub mod simhash;
 
 pub use collision::collision_probability;
 pub use index::LshIndex;
 pub use params::LshParams;
 pub use route::{signature_hamming, ShardRouter};
-pub use simhash::{SimHashIndex, SimHashParams};

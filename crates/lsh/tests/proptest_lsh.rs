@@ -5,7 +5,6 @@
 use alid_affinity::cost::CostModel;
 use alid_affinity::vector::Dataset;
 use alid_lsh::collision::collision_probability;
-use alid_lsh::simhash::{SimHashIndex, SimHashParams};
 use alid_lsh::{LshIndex, LshParams};
 use proptest::prelude::*;
 
@@ -67,33 +66,5 @@ proptest! {
     fn collision_model_monotone(r in 0.05f64..5.0, d1 in 0.0f64..10.0, d2 in 0.0f64..10.0) {
         let (near, far) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
         prop_assert!(collision_probability(near, r) >= collision_probability(far, r) - 1e-12);
-    }
-
-    /// SimHash: queries are well-formed and self-collision holds.
-    #[test]
-    fn simhash_wellformed(ds in dataset(), seed in 0u64..1000) {
-        let idx = SimHashIndex::build(&ds, SimHashParams::new(4, 6, seed), &CostModel::shared());
-        for i in 0..ds.len() {
-            let hits = idx.query(ds.get(i));
-            prop_assert!(hits.contains(&(i as u32)));
-            let mut sorted = hits.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(hits, sorted);
-        }
-    }
-
-    /// SimHash recall model: more tables never reduce recall, more bits
-    /// never increase it.
-    #[test]
-    fn simhash_recall_model_monotone(theta in 0.01f64..3.0, tables in 1usize..20, bits in 1usize..20) {
-        let ds = Dataset::from_flat(3, vec![1.0, 0.0, 0.0]);
-        let base = SimHashIndex::build(&ds, SimHashParams::new(tables, bits, 1), &CostModel::shared());
-        let more_tables =
-            SimHashIndex::build(&ds, SimHashParams::new(tables + 1, bits, 1), &CostModel::shared());
-        let more_bits =
-            SimHashIndex::build(&ds, SimHashParams::new(tables, bits + 1, 1), &CostModel::shared());
-        prop_assert!(more_tables.recall(theta) >= base.recall(theta) - 1e-12);
-        prop_assert!(more_bits.recall(theta) <= base.recall(theta) + 1e-12);
     }
 }

@@ -1,6 +1,5 @@
-//! The `serve` entry point, shared by the standalone `alid_serve`
-//! binary and the root CLI's `alid serve` subcommand so both spell the
-//! same flags and behave identically.
+//! The `serve` entry point behind the root CLI's `alid serve`
+//! subcommand.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -822,9 +822,9 @@ fn clusters(req: &Request, service: &Service) -> Result<Json, HttpError> {
 }
 
 /// Serialises the service, durably writes the snapshot to `path`
-/// (write-then-fsync-then-rename), and folds the journal: after the
-/// snapshot is on disk, closed segments holding only frames the
-/// snapshot already reflects are truncated. Returns
+/// (write, fsync, rename, fsync the directory), and folds the journal:
+/// after the snapshot is on disk, closed segments holding only frames
+/// the snapshot already reflects are truncated. Returns
 /// `(snapshot_bytes, journal_bytes_truncated)`.
 fn write_snapshot_file(
     service: &Service,
@@ -856,6 +856,12 @@ fn write_snapshot_file(
         let _ = std::fs::remove_file(&tmp);
         return Err(e);
     }
+    // The rename lives in the directory entry: fsync the directory
+    // before truncating, or a power loss could keep the deletions of
+    // the journal segments below while losing the snapshot that
+    // replaces them.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    crate::journal::sync_dir(dir.unwrap_or(std::path::Path::new(".")))?;
     let truncated = match service.journal() {
         Some(j) => {
             // The barrier guarantees the writer has processed the

@@ -15,8 +15,9 @@
 //! * **apply** (`"t":"d"`) — one shard's drain, recorded as the
 //!   shard-local item count after the queue was applied;
 //! * **sweep** (`"t":"s"`) — one shard's forced detection sweep, with
-//!   the item count it ran at (a validation anchor for replay) and
-//!   the auxiliary index bytes the sweep's tombstone compaction freed.
+//!   the item count it ran at (a validation anchor for replay). Older
+//!   writers also stored an always-zero `freed` field; replay ignores
+//!   unknown fields, so their segments still replay.
 //!
 //! Queries, merge-knob changes and telemetry are all derived or
 //! ephemeral and stay out. Because every frame is enqueued while its
@@ -181,7 +182,6 @@ enum Msg {
     Sweep {
         shard: u32,
         upto: u64,
-        freed: u64,
     },
     /// Close the current segment (flush + fsync) and open the next —
     /// enqueued by the snapshot codec at its cut position.
@@ -350,12 +350,9 @@ impl Journal {
     }
 
     /// Journals one shard's forced sweep (called under that shard's
-    /// lock). `freed` records the auxiliary index bytes the sweep's
-    /// tombstone compaction released — informational for operators;
-    /// replay re-derives the compaction from the deterministic sweep
-    /// itself.
-    pub(crate) fn append_sweep(&self, shard: u32, upto: u64, freed: u64) {
-        self.push(Msg::Sweep { shard, upto, freed });
+    /// lock).
+    pub(crate) fn append_sweep(&self, shard: u32, upto: u64) {
+        self.push(Msg::Sweep { shard, upto });
     }
 
     fn push(&self, msg: Msg) {
@@ -420,6 +417,13 @@ struct Seg {
     written: u64,
 }
 
+/// Fsyncs directory `dir`, making the entries created, renamed or
+/// deleted in it so far survive a power loss (a file's own fsync does
+/// not cover its directory entry).
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 /// Creates `journal-<seq>` with its header durably on disk (file and
 /// directory both fsynced, so a crash right after still lists it).
 fn open_segment(dir: &Path, seq: u64, first_pos: u64) -> std::io::Result<Seg> {
@@ -430,9 +434,7 @@ fn open_segment(dir: &Path, seq: u64, first_pos: u64) -> std::io::Result<Seg> {
     hdr.extend_from_slice(&first_pos.to_le_bytes());
     file.write_all(&hdr)?;
     file.sync_all()?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    let _ = sync_dir(dir);
     Ok(Seg { file, seq, written: hdr.len() as u64 })
 }
 
@@ -523,11 +525,10 @@ fn writer_loop(shared: &Shared, rx: &Receiver<Msg>, mut seg: Seg, mut pos: u64) 
                     ("shard", Json::UInt(u64::from(shard))),
                     ("upto", Json::UInt(upto)),
                 ]),
-                Msg::Sweep { shard, upto, freed } => Json::object([
+                Msg::Sweep { shard, upto } => Json::object([
                     ("t", "s".to_json()),
                     ("shard", Json::UInt(u64::from(shard))),
                     ("upto", Json::UInt(upto)),
-                    ("freed", Json::UInt(freed)),
                 ]),
             };
             encode_frame(&mut buf, &payload);
@@ -861,6 +862,43 @@ mod tests {
             snapshot::snapshot_bytes(&fresh),
             "journal replay must reproduce the uninterrupted run byte for byte"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Segments written when sweep frames still carried a `freed` field
+    /// replay exactly like current ones.
+    #[test]
+    fn sweep_frames_with_the_retired_freed_field_still_replay() {
+        let dir = temp_dir("freed");
+        let live = journaled_service(&dir, 2);
+        run_history(&live, 30);
+        live.journal().expect("journal attached").barrier();
+        let live_bytes = snapshot::snapshot_bytes(&live);
+        drop(live);
+        let seg = segment_path(&dir, 0);
+        let bytes = fs::read(&seg).expect("segment");
+        let mut rewritten = bytes[..SEGMENT_HEADER_LEN].to_vec();
+        let mut offset = SEGMENT_HEADER_LEN;
+        let mut sweeps = 0;
+        while offset < bytes.len() {
+            let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("len"));
+            let start = offset + FRAME_HEADER_LEN;
+            let Json::Obj(mut frame) =
+                bin::decode(&bytes[start..start + len as usize]).expect("frame decodes")
+            else {
+                panic!("frame is not an object")
+            };
+            if frame.iter().any(|(k, v)| k == "t" && v.as_str() == Some("s")) {
+                frame.push(("freed".into(), Json::UInt(0)));
+                sweeps += 1;
+            }
+            encode_frame(&mut rewritten, &Json::Obj(frame));
+            offset = start + len as usize;
+        }
+        assert!(sweeps > 0, "the history must journal a sweep");
+        fs::write(&seg, &rewritten).expect("rewrite");
+        let fresh = journaled_service(&dir, 2);
+        assert_eq!(live_bytes, snapshot::snapshot_bytes(&fresh));
         let _ = fs::remove_dir_all(&dir);
     }
 

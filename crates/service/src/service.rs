@@ -657,18 +657,13 @@ impl Service {
             .exec
             .map_indexed(self.shards.len(), |s| {
                 let mut shard = self.shard(s);
-                let freed_before = shard.stream.aux_freed_total();
                 // alid-lint: allow(panic-under-lock) -- sweep's asserts are internal invariants over ingest-validated data; a failure means corrupted shard state, where fail-fast poisoning beats serving wrong clusters
                 let promoted = shard.stream.sweep();
                 if let Some(journal) = &self.journal {
-                    // Shard lock still held; `freed` records this
-                    // sweep's tombstone-compaction savings (replay
-                    // re-derives the compaction deterministically).
-                    journal.append_sweep(
-                        s as u32,
-                        shard.stream.len() as u64,
-                        shard.stream.aux_freed_total() - freed_before,
-                    );
+                    // Shard lock still held: the frame records the item
+                    // count this sweep ran at, the anchor replay
+                    // validates against.
+                    journal.append_sweep(s as u32, shard.stream.len() as u64);
                 }
                 promoted
             })

@@ -3,8 +3,8 @@
 //! Layout: an 8-byte magic (`ALIDSNAP`), a little-endian `u32` format
 //! version, then one [`serde::bin`]-encoded value holding the full
 //! state — config, detection parameters, placements, and per shard
-//! the dataset, assignments, clusters, incremental density sums,
-//! pending buffer, unapplied ingest queue and sweep phase — plus the
+//! the dataset, clusters, incremental density sums, pending buffer,
+//! unapplied ingest queue and sweep phase — plus the
 //! *logical journal position* the snapshot reflects, so journal
 //! replay ([`crate::journal`]) knows where to cut. Every
 //! float travels as raw IEEE-754 bits, so restore is *exact*: a
@@ -16,6 +16,9 @@
 //! * the LSH indexes — pure functions of `(params.lsh, data)`,
 //!   rebuilt on restore through the same insert path the live
 //!   instance used (see `StreamingAlid::from_state`);
+//! * per-item assignments — an item is assigned exactly when it is a
+//!   cluster member, so `from_state` derives them (and validates the
+//!   membership) from the clusters;
 //! * the routing hyperplanes — redrawn from `(dim, router_bits,
 //!   router_seed)`;
 //! * execution policies — a runtime choice; any worker count yields
@@ -48,8 +51,10 @@ pub const MAGIC: &[u8; 8] = b"ALIDSNAP";
 /// Current format version. Version 2 added `journal_pos` (the logical
 /// journal frame count folded into this snapshot, so recovery knows
 /// which journal frames are already reflected) and the packed-f64
-/// array encoding in the `serde::bin` codec.
-pub const VERSION: u32 = 2;
+/// array encoding in the `serde::bin` codec. Version 3 dropped the
+/// per-shard `assigned` array (derived from cluster membership on
+/// restore) and made `journal_pos` required.
+pub const VERSION: u32 = 3;
 
 /// Why a snapshot failed to restore.
 #[derive(Debug)]
@@ -117,16 +122,6 @@ fn floats_json(xs: &[f64]) -> Json {
 
 fn shard_json(shard: &Shard) -> Json {
     let stream = &shard.stream;
-    let assigned = Json::Arr(
-        stream
-            .assignments()
-            .iter()
-            .map(|a| match a {
-                Some(c) => Json::UInt(*c as u64),
-                None => Json::Null,
-            })
-            .collect(),
-    );
     let clusters = Json::Arr(
         stream
             .clusters()
@@ -143,7 +138,6 @@ fn shard_json(shard: &Shard) -> Json {
     let queue = Json::Arr(shard.queue.iter().map(|v| floats_json(v)).collect());
     Json::object([
         ("flat", floats_json(stream.data().as_flat())),
-        ("assigned", assigned),
         ("clusters", clusters),
         ("pair_sums", floats_json(stream.pair_sums())),
         ("pending", stream.pending().to_json()),
@@ -308,19 +302,6 @@ fn shard_from_json(
         return Err(schema_err("shard dataset length is not a multiple of dim"));
     }
     let data = Dataset::from_flat(dim, flat);
-    let n = data.len();
-    let assigned_json = arr_field(obj, "assigned")?;
-    if assigned_json.len() != n {
-        return Err(schema_err("assignment vector length mismatch"));
-    }
-    let mut assigned = Vec::with_capacity(n);
-    for j in assigned_json {
-        assigned.push(if j.is_null() {
-            None
-        } else {
-            Some(j.as_u64().ok_or_else(|| schema_err("assigned: element is not a u64"))? as usize)
-        });
-    }
     let mut clusters = Vec::new();
     for c in arr_field(obj, "clusters")? {
         let members = uints(arr_field(c, "members")?, "members")?;
@@ -332,27 +313,8 @@ fn shard_from_json(
         clusters.push(DetectedCluster { members, weights, density });
     }
     let pair_sums = floats(arr_field(obj, "pair_sums")?, "pair_sums")?;
-    if pair_sums.len() != clusters.len() {
-        return Err(schema_err("clusters/pair_sums length mismatch"));
-    }
     let pending = uints(arr_field(obj, "pending")?, "pending")?;
     let since_sweep = usize_field(obj, "since_sweep")?;
-    // Bounds checks beyond this point live in `from_state`, which
-    // panics on corrupt indices; pre-validate so a bad snapshot is an
-    // Err, not an abort.
-    for a in assigned.iter().flatten() {
-        if *a >= clusters.len() {
-            return Err(schema_err("assignment references an unknown cluster"));
-        }
-    }
-    for c in &clusters {
-        if c.members.iter().any(|&m| m as usize >= n) {
-            return Err(schema_err("cluster member out of bounds"));
-        }
-    }
-    if pending.iter().any(|&p| p as usize >= n) {
-        return Err(schema_err("pending item out of bounds"));
-    }
     let mut queue = std::collections::VecDeque::new();
     for q in arr_field(obj, "queue")? {
         let v = floats(
@@ -364,6 +326,8 @@ fn shard_from_json(
         }
         queue.push_back(v);
     }
+    // `from_state` owns every cross-field check (lengths, bounds,
+    // membership), so a corrupt shard is a schema error, not an abort.
     let stream = StreamingAlid::from_state(
         params,
         batch,
@@ -371,10 +335,10 @@ fn shard_from_json(
         data,
         clusters,
         pair_sums,
-        assigned,
         pending,
         since_sweep,
-    );
+    )
+    .map_err(schema_err)?;
     // Busy counts are process-lifetime telemetry, not state: a
     // restored service starts refusing from zero.
     Ok(Shard { stream, queue })
@@ -481,10 +445,7 @@ pub fn restore_with_meta(
             placements.len()
         )));
     }
-    // Absent (pre-journal writer, still version 2) reads as 0: replay
-    // from the journal's first frame.
-    let journal_pos = body.get("journal_pos").and_then(Json::as_u64).unwrap_or(0);
-    let meta = SnapshotMeta { journal_pos };
+    let meta = SnapshotMeta { journal_pos: u64_field(&body, "journal_pos")? };
     Ok((Service::from_parts(cfg, shard_vec, placements, cost), meta))
 }
 
@@ -665,10 +626,84 @@ mod tests {
             s.data().clone(),
             s.clusters().to_vec(),
             s.pair_sums().to_vec(),
-            s.assignments().to_vec(),
             s.pending().to_vec(),
             s.since_sweep(),
-        );
+        )
+        .expect("a live stream's state restores");
         assert_eq!(rebuilt.assignments(), s.assignments());
+    }
+
+    /// Re-encodes `bytes` after `edit` has rewritten the decoded body —
+    /// a well-formed file carrying a corrupt state.
+    fn tampered(bytes: &[u8], edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Vec<u8> {
+        let Json::Obj(mut body) = bin::decode(&bytes[MAGIC.len() + 4..]).expect("decode") else {
+            panic!("snapshot body is not an object")
+        };
+        edit(&mut body);
+        let mut out = bytes[..MAGIC.len() + 4].to_vec();
+        bin::encode_into(&Json::Obj(body), &mut out);
+        out
+    }
+
+    fn field_mut<'a>(fields: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect("field present").1
+    }
+
+    /// Applies `edit` to the fields of the first shard holding a
+    /// cluster.
+    fn tamper_clustered_shard(edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Vec<u8> {
+        tampered(&snapshot_bytes(&populated_service()), |body| {
+            let Json::Arr(shards) = field_mut(body, "shard_states") else { panic!("shards") };
+            let clustered = shards
+                .iter_mut()
+                .find(|s| s.get("clusters").and_then(Json::as_arr).is_some_and(|c| !c.is_empty()))
+                .expect("the fixture promotes a cluster");
+            let Json::Obj(fields) = clustered else { panic!("shard state is not an object") };
+            edit(fields);
+        })
+    }
+
+    fn schema_error(bytes: &[u8]) -> String {
+        match restore(bytes, ExecPolicy::sequential()) {
+            Err(SnapshotError::Schema(msg)) => msg,
+            Err(e) => panic!("expected a schema error, got {e}"),
+            Ok(_) => panic!("expected a schema error, the snapshot restored"),
+        }
+    }
+
+    #[test]
+    fn clusters_sharing_an_item_are_a_schema_error() {
+        let bytes = tamper_clustered_shard(|shard| {
+            let Json::Arr(clusters) = field_mut(shard, "clusters") else { panic!("clusters") };
+            clusters.push(clusters[0].clone());
+            let Json::Arr(sums) = field_mut(shard, "pair_sums") else { panic!("pair_sums") };
+            sums.push(Json::Num(0.0));
+        });
+        let msg = schema_error(&bytes);
+        assert!(msg.contains("listed in clusters"), "{msg}");
+    }
+
+    #[test]
+    fn pending_cluster_member_is_a_schema_error() {
+        let bytes = tamper_clustered_shard(|shard| {
+            let member = field_mut(shard, "clusters").as_arr().expect("clusters")[0]
+                .get("members")
+                .and_then(Json::as_arr)
+                .expect("members")[0]
+                .clone();
+            let Json::Arr(pending) = field_mut(shard, "pending") else { panic!("pending") };
+            pending.push(member);
+        });
+        let msg = schema_error(&bytes);
+        assert!(msg.contains("pending item"), "{msg}");
+    }
+
+    #[test]
+    fn missing_journal_pos_is_a_schema_error() {
+        let bytes = tampered(&snapshot_bytes(&populated_service()), |body| {
+            body.retain(|(k, _)| k != "journal_pos");
+        });
+        let msg = schema_error(&bytes);
+        assert!(msg.contains("journal_pos"), "{msg}");
     }
 }

@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use alid_data::groundtruth::{GroundTruth, LabeledDataset};
     pub use alid_exec::ExecPolicy;
-    pub use alid_lsh::{LshIndex, LshParams, ShardRouter, SimHashIndex, SimHashParams};
+    pub use alid_lsh::{LshIndex, LshParams, ShardRouter};
     pub use alid_service::{
         Admission, ClusterSummary, MergedCluster, MergedView, ReduceStats, Service, ServiceConfig,
     };

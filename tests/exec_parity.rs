@@ -300,26 +300,19 @@ fn sparse_build_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn lsh_and_simhash_builds_are_byte_identical_across_worker_counts() {
+fn lsh_builds_are_byte_identical_across_worker_counts() {
     let (ds, params) = workload();
     let serial_lsh = LshIndex::build(&ds.data, params.lsh, &CostModel::shared());
-    let serial_sim = SimHashIndex::build(&ds.data, SimHashParams::default(), &CostModel::shared());
     for workers in parity_workers() {
         let exec = ExecPolicy::workers(workers);
         let cost = CostModel::shared();
         let lsh = LshIndex::build_with(&ds.data, params.lsh, &cost, exec);
         assert_eq!(lsh.bucket_count(), serial_lsh.bucket_count(), "{workers} workers");
-        let sim = SimHashIndex::build_with(&ds.data, SimHashParams::default(), &cost, exec);
         for probe in 0..ds.data.len() {
             assert_eq!(
                 lsh.query(ds.data.get(probe)),
                 serial_lsh.query(ds.data.get(probe)),
                 "LSH query {probe} diverged at {workers} workers"
-            );
-            assert_eq!(
-                sim.query(ds.data.get(probe)),
-                serial_sim.query(ds.data.get(probe)),
-                "SimHash query {probe} diverged at {workers} workers"
             );
         }
     }

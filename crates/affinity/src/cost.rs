@@ -23,7 +23,8 @@ use std::sync::Arc;
 ///   affinity-matrix *space* (peak matters: ALID frees each `A_beta_alpha`
 ///   when a cluster is peeled off, Section 4.5);
 /// * `aux_bytes` — auxiliary structure bytes (LSH tables, inverted lists)
-///   that the paper's memory plots also include.
+///   that the paper's memory plots also include. Growth-only: every index
+///   built against the model stays counted for the rest of the run.
 #[derive(Debug, Default)]
 pub struct CostModel {
     kernel_evals: AtomicU64,
@@ -46,8 +47,9 @@ pub struct CostSnapshot {
 }
 
 impl CostSnapshot {
-    /// Peak memory in bytes: matrix entries at 8 bytes each plus
-    /// auxiliary structures.
+    /// Peak memory in bytes: peak matrix entries at 8 bytes each plus
+    /// auxiliary structures. Aux bytes never shrink, so this is a
+    /// high-water mark for the whole run.
     pub fn peak_bytes(&self) -> u64 {
         self.entries_peak * 8 + self.aux_bytes
     }
@@ -93,22 +95,12 @@ impl CostModel {
         debug_assert!(before >= n, "freed {n} entries but only {before} were allocated");
     }
 
-    /// Records auxiliary bytes. Growth-only except for explicit bucket
-    /// compaction, which returns bytes via [`Self::release_aux_bytes`].
+    /// Records auxiliary bytes. Growth-only: an index holds its tables
+    /// until it is dropped (tombstoned ids keep their bucket entries),
+    /// so the running total is also the high-water mark.
     #[inline]
     pub fn record_aux_bytes(&self, n: u64) {
         self.aux_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records that `n` auxiliary bytes were physically freed (tombstone
-    /// compaction dropping retired ids from index buckets). Saturating,
-    /// so a caller overshooting its own accounting clamps to zero rather
-    /// than wrapping the memory plots to 2^64.
-    #[inline]
-    pub fn release_aux_bytes(&self, n: u64) {
-        let _ = self
-            .aux_bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| Some(cur.saturating_sub(n)));
     }
 
     /// Copies the counters.
@@ -161,16 +153,6 @@ mod tests {
         c.alloc_entries(4);
         c.record_aux_bytes(100);
         assert_eq!(c.snapshot().peak_bytes(), 4 * 8 + 100);
-    }
-
-    #[test]
-    fn release_aux_bytes_subtracts_and_saturates() {
-        let c = CostModel::new();
-        c.record_aux_bytes(100);
-        c.release_aux_bytes(40);
-        assert_eq!(c.snapshot().aux_bytes, 60);
-        c.release_aux_bytes(1000);
-        assert_eq!(c.snapshot().aux_bytes, 0);
     }
 
     #[test]

@@ -222,17 +222,9 @@ fn obs_metrics() -> &'static PeelMetrics {
 /// Shared by [`Peeler::detect_all`] / [`Peeler::detect_up_to`] (fresh
 /// index over a batch) and `StreamingAlid::sweep` (the streaming index
 /// with attached items tombstoned), so all drivers ride the same
-/// speculative path.
-///
-/// `compact` controls whether the pass may *permanently* compact
-/// peeled items out of the index's bucket lists once dead entries
-/// dominate ([`LshIndex::should_compact`]): batch drivers own their
-/// index and never resurrect peeled items, so they pass `true` and
-/// reclaim the aux bytes; the streaming sweep's tombstones are
-/// transient (`restore_all` revives assigned items for future
-/// attachment), so it must pass `false`. Compaction is invisible to
-/// queries, so the detected clusters are identical either way.
-#[allow(clippy::too_many_arguments)]
+/// speculative path. Peeled items are tombstoned and never leave the
+/// bucket lists, so the index keeps its whole hash-table memory for as
+/// long as it lives.
 pub(crate) fn peel_pass(
     ds: &Dataset,
     params: &AlidParams,
@@ -241,7 +233,6 @@ pub(crate) fn peel_pass(
     from: u32,
     limit: Option<usize>,
     stats: &mut PeelStats,
-    compact: bool,
 ) -> Vec<(u32, DetectedCluster)> {
     let n = ds.len() as u32;
     let limit = limit.unwrap_or(usize::MAX);
@@ -251,14 +242,8 @@ pub(crate) fn peel_pass(
         while detections.len() < limit {
             let Some(seed) = next_alive_from(index, &mut next_seed, n) else { break };
             let out = detect_one(ds, params, index, seed, cost);
-            index.remove(seed);
-            for &m in &out.cluster.members {
-                index.remove(m);
-            }
+            peel(index, seed, &out.cluster.members);
             detections.push((seed, out.cluster));
-            if compact && index.should_compact() {
-                index.compact_tombstones();
-            }
         }
         stats.record_sequential(detections.len() as u64);
         return detections;
@@ -311,10 +296,7 @@ pub(crate) fn peel_pass(
                     break;
                 }
             }
-            index.remove(seed);
-            for &m in &out.cluster.members {
-                index.remove(m);
-            }
+            peel(index, seed, &out.cluster.members);
             detections.push((seed, out.cluster));
             round.accepted += 1;
         }
@@ -325,11 +307,18 @@ pub(crate) fn peel_pass(
         round_span.count("rerun", round.rerun as u64);
         drop(round_span);
         stats.record_round(round);
-        if compact && index.should_compact() {
-            index.compact_tombstones();
-        }
     }
     detections
+}
+
+/// Tombstones one detection's support plus its seed. The dynamics may
+/// have immunized the seed away; it must still leave the pool, or the
+/// pass would seed it again forever.
+fn peel(index: &mut LshIndex, seed: u32, members: &[u32]) {
+    index.remove(seed);
+    for &m in members {
+        index.remove(m);
+    }
 }
 
 /// Runs the full detect-and-peel protocol on an arbitrary *member
@@ -376,7 +365,7 @@ pub fn detect_on_subset(
     let sub = ds.subset(&rows);
     let mut index = LshIndex::build(&sub, params.lsh, cost);
     let mut stats = PeelStats::default();
-    let detections = peel_pass(&sub, params, &mut index, cost, 0, None, &mut stats, true);
+    let detections = peel_pass(&sub, params, &mut index, cost, 0, None, &mut stats);
     detections
         .into_iter()
         .map(|(_seed, mut cluster)| {
@@ -455,18 +444,7 @@ impl<'a> Peeler<'a> {
     pub fn next_cluster(&mut self) -> Option<alid_affinity::clustering::DetectedCluster> {
         let seed = self.next_alive()?;
         let out = detect_one(self.ds, &self.params, &self.index, seed, &self.cost);
-        // Peel the support plus the seed itself (the dynamics may have
-        // immunized the seed away; it must still leave the pool or the
-        // pass would loop forever).
-        self.index.remove(seed);
-        for &m in &out.cluster.members {
-            self.index.remove(m);
-        }
-        // The Peeler owns its index and never resurrects peeled items,
-        // so dead bucket entries can be reclaimed once they dominate.
-        if self.index.should_compact() {
-            self.index.compact_tombstones();
-        }
+        peel(&mut self.index, seed, &out.cluster.members);
         Some(out.cluster)
     }
 
@@ -513,7 +491,6 @@ impl<'a> Peeler<'a> {
             self.next_seed,
             Some(max_clusters),
             &mut stats,
-            true,
         );
         clustering.clusters.extend(detections.into_iter().map(|(_seed, cluster)| cluster));
         (clustering, stats)
@@ -783,6 +760,27 @@ mod tests {
     fn detect_on_subset_rejects_unsorted_subsets() {
         let ds = fixture();
         let _ = detect_on_subset(&ds, &[3, 1], &params(&ds), &CostModel::shared());
+    }
+
+    /// Aux bytes are growth-only: peeling tombstones without freeing, so
+    /// every LSH table built for a run stays inside `peak_bytes()` until
+    /// the run ends.
+    #[test]
+    fn lsh_tables_stay_counted_after_peeling_to_exhaustion() {
+        let ds = fixture();
+        let p = params(&ds);
+        let table_bytes = |n: usize| (n * (4 * p.lsh.tables + 1)) as u64;
+        let cost = CostModel::shared();
+        let _ = Peeler::new(&ds, p, Arc::clone(&cost)).detect_all();
+        assert_eq!(cost.snapshot().aux_bytes, table_bytes(ds.len()), "detect_all");
+        let cost = CostModel::shared();
+        let mut peeler = Peeler::new(&ds, p, Arc::clone(&cost));
+        while peeler.next_cluster().is_some() {}
+        assert_eq!(cost.snapshot().aux_bytes, table_bytes(ds.len()), "next_cluster");
+        let cost = CostModel::shared();
+        let subset = [0u32, 1, 2, 3, 4, 5, 15];
+        let _ = detect_on_subset(&ds, &subset, &p, &cost);
+        assert_eq!(cost.snapshot().aux_bytes, table_bytes(subset.len()), "detect_on_subset");
     }
 
     #[test]

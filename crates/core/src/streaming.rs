@@ -199,7 +199,7 @@ impl StreamingAlid {
     /// or pending item is out of bounds, when an item is listed in two
     /// clusters, or when a pending item is a cluster member — corrupt
     /// snapshots are refused instead of detecting nonsense.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn from_state(
         params: AlidParams,
         batch: usize,
@@ -442,6 +442,8 @@ impl StreamingAlid {
             }
         }
         self.pending.clear();
+        // These tombstones are transient: restore_all below revives the
+        // assigned items so future attachment queries still find them.
         let detections = peel_pass(
             &self.data,
             &self.params,
@@ -450,10 +452,6 @@ impl StreamingAlid {
             0,
             None,
             &mut self.stats,
-            // Never compact here: these tombstones are transient —
-            // restore_all below revives assigned items so future
-            // attachment queries can still find them.
-            false,
         );
         // The stream is unbounded; keep the per-round history a
         // bounded window (totals keep accumulating forever).
@@ -461,6 +459,11 @@ impl StreamingAlid {
         let mut promoted = 0;
         let mut still_pending: Vec<u32> = Vec::new();
         for (seed, cluster) in detections {
+            // A seed the dynamics immunized away joins no cluster, so it
+            // stays buffered whatever its detection's fate.
+            if !cluster.members.contains(&seed) {
+                still_pending.push(seed);
+            }
             let is_dominant = cluster.density >= self.params.density_threshold
                 && cluster.members.len() >= self.params.min_cluster_size;
             if is_dominant {
@@ -475,9 +478,6 @@ impl StreamingAlid {
                 self.clusters.push(cluster);
                 promoted += 1;
             } else {
-                if !cluster.members.contains(&seed) {
-                    still_pending.push(seed);
-                }
                 still_pending.extend(cluster.members);
             }
         }

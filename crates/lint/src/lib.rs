@@ -27,7 +27,7 @@
 //! four more rules in the lock-disciplined crates:
 //!
 //! * [`lock-cycle`] — a second same-class lock acquisition reachable
-//!   while one is held (self-deadlock; replaces the retired intra-fn
+//!   while one is held (self-deadlock; replaces the former intra-fn
 //!   `lock-order` heuristic);
 //! * [`exec-under-lock`] — an `ExecPolicy` dispatch reachable under a
 //!   shard guard (the PR 4 deadlock class, statically banned);

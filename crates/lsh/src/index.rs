@@ -47,15 +47,9 @@ struct Table {
 pub struct LshIndex {
     params: LshParams,
     dim: usize,
-    n: usize,
     tables: Vec<Table>,
     alive: Vec<bool>,
     alive_count: usize,
-    /// Permanently retired ids: physically dropped from the bucket lists
-    /// by [`Self::compact_tombstones`] and never resurrected by
-    /// [`Self::restore_all`].
-    retired: Vec<bool>,
-    retired_count: usize,
     /// Shared cost model: build records the O(n*l) hash-table memory,
     /// and every streaming insert records its own growth so Section 4.3
     /// memory reports stay truthful as the stream runs.
@@ -99,12 +93,9 @@ impl LshIndex {
         let mut index = Self {
             params,
             dim,
-            n,
             tables,
             alive: vec![true; n],
             alive_count: n,
-            retired: vec![false; n],
-            retired_count: 0,
             cost: Arc::clone(cost),
             scratch: vec![0u64; params.projections],
         };
@@ -149,12 +140,12 @@ impl LshIndex {
 
     /// Number of indexed items (alive + tombstoned).
     pub fn len(&self) -> usize {
-        self.n
+        self.alive.len()
     }
 
     /// Whether the index holds no items.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.alive.is_empty()
     }
 
     /// Items not yet tombstoned.
@@ -187,17 +178,15 @@ impl LshIndex {
     /// Panics if `v`'s dimensionality differs from the index's.
     pub fn insert(&mut self, v: &[f64]) -> u32 {
         assert_eq!(v.len(), self.dim, "inserted vector dimensionality mismatch");
-        let id = self.n as u32;
+        let id = self.alive.len() as u32;
         let mut signature = std::mem::take(&mut self.scratch);
         for t in 0..self.tables.len() {
             let key = self.key_into(t, v, &mut signature);
             self.tables[t].buckets.entry(key).or_default().push(id);
         }
         self.scratch = signature;
-        self.n += 1;
         self.alive.push(true);
         self.alive_count += 1;
-        self.retired.push(false);
         self.cost.record_aux_bytes((self.params.tables * 4 + 1) as u64);
         id
     }
@@ -205,12 +194,10 @@ impl LshIndex {
     /// Tombstones item `id` (idempotent). Peeled clusters call this for
     /// every member.
     ///
-    /// Tombstoning alone frees **no** aux bytes, deliberately: the id
-    /// stays in every bucket list (queries filter it), so the hash-table
-    /// memory of Section 4.3 is still held — the accounting matches the
-    /// allocation exactly. Bytes return only when a caller whose
-    /// tombstones are *permanent* runs [`Self::compact_tombstones`], or
-    /// when the whole index is dropped.
+    /// Tombstoning frees **no** aux bytes, deliberately: the id stays in
+    /// every bucket list (queries filter it), so the hash-table memory
+    /// of Section 4.3 is still held until the whole index is dropped —
+    /// the accounting matches the allocation exactly.
     pub fn remove(&mut self, id: u32) {
         let slot = &mut self.alive[id as usize];
         if *slot {
@@ -219,69 +206,11 @@ impl LshIndex {
         }
     }
 
-    /// Clears every *transient* tombstone (PALID mappers share one index
-    /// and never peel; streaming sweeps re-run detection from scratch).
-    /// Ids retired by [`Self::compact_tombstones`] stay dead — their
-    /// bucket entries no longer exist.
+    /// Clears every tombstone (PALID mappers share one index and never
+    /// peel; streaming sweeps re-run detection from scratch).
     pub fn restore_all(&mut self) {
-        for (a, &r) in self.alive.iter_mut().zip(&self.retired) {
-            *a = !r;
-        }
-        self.alive_count = self.n - self.retired_count;
-    }
-
-    /// Whether at least half of the bucket entries still held belong to
-    /// tombstoned items — the point where [`Self::compact_tombstones`]
-    /// reclaims at least as much as it keeps, amortising the O(n*l)
-    /// bucket walk against the bytes returned.
-    pub fn should_compact(&self) -> bool {
-        let held = self.n - self.retired_count;
-        let dead = held - self.alive_count;
-        dead > 0 && dead * 2 >= held
-    }
-
-    /// Promotes every current tombstone to *permanent* retirement and
-    /// physically drops those ids from the bucket lists, returning the
-    /// auxiliary bytes freed (4 per dropped bucket entry — the exact
-    /// mirror of the growth [`Self::insert`] records; the one tombstone
-    /// byte per item stays, since `alive`/`retired` remain positional).
-    /// The freed bytes are released from the shared cost model.
-    ///
-    /// Only sound when the caller's tombstones are permanent: batch
-    /// peeling (`alid-core`'s peel pass) never revisits a peeled item,
-    /// so detection-to-exhaustion compacts freely, while the streaming
-    /// sweep — whose [`Self::restore_all`] must resurrect assigned items
-    /// for future attachment — must not call this. Queries are
-    /// unaffected either way: they already filtered dead ids, and
-    /// within-bucket order of survivors is preserved.
-    pub fn compact_tombstones(&mut self) -> u64 {
-        let mut newly = 0u64;
-        for (r, &a) in self.retired.iter_mut().zip(&self.alive) {
-            if !a && !*r {
-                *r = true;
-                newly += 1;
-            }
-        }
-        if newly == 0 {
-            return 0;
-        }
-        self.retired_count += newly as usize;
-        // Borrow-split: take the retired bitmap so the bucket walk can
-        // borrow `self.tables` mutably while reading it.
-        let retired = std::mem::take(&mut self.retired);
-        let mut dropped = 0u64;
-        for table in &mut self.tables {
-            table.buckets.retain(|_, bucket| {
-                let before = bucket.len();
-                bucket.retain(|&id| !retired[id as usize]);
-                dropped += (before - bucket.len()) as u64;
-                !bucket.is_empty()
-            });
-        }
-        self.retired = retired;
-        let freed = dropped * 4;
-        self.cost.release_aux_bytes(freed);
-        freed
+        self.alive.fill(true);
+        self.alive_count = self.alive.len();
     }
 
     /// Computes the bucket key of `v` in table `t`, reusing `signature`
@@ -339,8 +268,8 @@ impl LshIndex {
     /// (Section 5.1): item `i` is adjacent to every alive item sharing a
     /// bucket with it. `i` itself is excluded.
     pub fn neighbor_lists(&self, ds: &Dataset) -> Vec<Vec<u32>> {
-        let mut lists = Vec::with_capacity(self.n);
-        for id in 0..self.n {
+        let mut lists = Vec::with_capacity(self.len());
+        for id in 0..self.len() {
             if !self.alive[id] {
                 lists.push(Vec::new());
                 continue;
@@ -555,55 +484,6 @@ mod tests {
         idx.remove(0);
         idx.remove(41);
         assert_eq!(cost.snapshot().aux_bytes, base + 10 * per_insert);
-    }
-
-    #[test]
-    fn compact_tombstones_frees_aux_bytes_and_retires_permanently() {
-        let ds = blob_dataset();
-        let cost = CostModel::shared();
-        let mut idx = LshIndex::build(&ds, LshParams::new(4, 3, 1.0, 7), &cost);
-        let base = cost.snapshot().aux_bytes;
-        // Tombstone all of blob A plus the outlier, then compact: each
-        // retired id occupied one u32 slot in each of the 4 tables.
-        for id in 0..20 {
-            idx.remove(id);
-        }
-        idx.remove(40);
-        assert!(idx.should_compact(), "more than half the corpus is dead");
-        let freed = idx.compact_tombstones();
-        assert_eq!(freed, 21 * 4 * 4, "4 bytes per (retired id, table)");
-        assert_eq!(cost.snapshot().aux_bytes, base - freed);
-        // Retirement is permanent: restore_all revives only the rest.
-        idx.restore_all();
-        assert_eq!(idx.alive_count(), ds.len() - 21);
-        assert!(!idx.is_alive(0));
-        assert!(idx.query(ds.get(0)).is_empty(), "retired blob gone from buckets");
-        // Re-compacting with no new tombstones is a no-op.
-        assert!(!idx.should_compact());
-        assert_eq!(idx.compact_tombstones(), 0);
-        assert_eq!(cost.snapshot().aux_bytes, base - freed);
-    }
-
-    #[test]
-    fn compaction_is_invisible_to_surviving_queries() {
-        let ds = blob_dataset();
-        let mut plain = build(&ds, 1.0);
-        let mut compacted = build(&ds, 1.0);
-        for id in 0..20 {
-            plain.remove(id);
-            compacted.remove(id);
-        }
-        compacted.compact_tombstones();
-        for probe in 0..ds.len() {
-            assert_eq!(
-                plain.query(ds.get(probe)),
-                compacted.query(ds.get(probe)),
-                "query {probe} diverged after compaction"
-            );
-        }
-        // Inserts after compaction keep working with fresh ids.
-        let id = compacted.insert(&[50.05, 49.95]);
-        assert!(compacted.query(&[50.05, 49.95]).contains(&id));
     }
 
     #[test]

@@ -868,7 +868,7 @@ mod tests {
     /// Segments written when sweep frames still carried a `freed` field
     /// replay exactly like current ones.
     #[test]
-    fn sweep_frames_with_the_retired_freed_field_still_replay() {
+    fn sweep_frames_with_the_dropped_freed_field_still_replay() {
         let dir = temp_dir("freed");
         let live = journaled_service(&dir, 2);
         run_history(&live, 30);

@@ -73,23 +73,44 @@ fn clusters_are_detected_within_their_burst_window() {
 
 #[test]
 fn attachment_keeps_assignments_consistent() {
-    let sc = generate_stream(&StreamConfig::two_bursts(29));
-    let params = params_for(sc.scale, 3);
-    let mut online = StreamingAlid::new(sc.data.dim(), params, 12, CostModel::shared());
-    for row in sc.data.iter() {
-        online.push(row);
+    // Inputs are (label, stream, kernel scale factor, LSH seed, sweep
+    // period): a short stream swept every 12 arrivals...
+    let short = generate_stream(&StreamConfig::two_bursts(29));
+    let mut inputs = vec![("two bursts".to_string(), short, 1.0, 3, 12)];
+    // ...and large-cluster streams swept once over the whole window,
+    // where a dominant detection can immunize its own seed away.
+    let n = 1200;
+    for seed in [0, 2] {
+        let bursts = [n / 10, n / 2, n * 7 / 10]
+            .map(|start| Burst { start, size: n / 6, spacing: 1 })
+            .to_vec();
+        let cfg = StreamConfig { dim: 8, total: n, bursts, jitter: 0.05, noise_span: 25.0, seed };
+        inputs.push((format!("large window, seed {seed}"), generate_stream(&cfg), 2.0, 11, n));
     }
-    online.sweep();
+    for (label, sc, widen, lsh_seed, batch) in inputs {
+        let params = params_for(sc.scale * widen, lsh_seed);
+        let mut online = StreamingAlid::new(sc.data.dim(), params, batch, CostModel::shared());
+        for row in sc.data.iter() {
+            online.push(row);
+        }
+        assert_consistent(&online, &format!("{label}, after the pushes"));
+        online.sweep();
+        assert_consistent(&online, &format!("{label}, after a final sweep"));
+    }
+}
+
+fn assert_consistent(online: &StreamingAlid, at: &str) {
     // Every assignment points to a cluster that really contains the item.
     for (i, a) in online.assignments().iter().enumerate() {
         if let Some(c) = a {
             assert!(
                 online.clusters()[*c].members.contains(&(i as u32)),
-                "assignment of {i} inconsistent"
+                "{at}: assignment of {i} inconsistent"
             );
         }
     }
-    // Pending items are exactly the unassigned ones.
+    // Every item is assigned or pending, never both: the pending buffer
+    // is exactly the unassigned items.
     let unassigned: Vec<u32> = online
         .assignments()
         .iter()
@@ -97,5 +118,5 @@ fn attachment_keeps_assignments_consistent() {
         .filter(|(_, a)| a.is_none())
         .map(|(i, _)| i as u32)
         .collect();
-    assert_eq!(online.pending(), unassigned.as_slice());
+    assert_eq!(online.pending(), unassigned.as_slice(), "{at}");
 }

@@ -34,40 +34,15 @@
 //! NaN/∞/-0.0/denormal inputs. The parity suite
 //! (`tests/proptest_block.rs`) pins this.
 //!
-//! The always-on implementation below is plain Rust written so the
-//! four accumulator chains are independent (superscalar hardware
-//! overlaps them, and LLVM's SLP vectorizer may pack them); the
-//! `simd-lanes` cargo feature swaps in explicit AVX intrinsics (see
-//! [`crate::lanes`]) with the same layout and the same guarantee.
-//!
-//! # Autotuner feedback
-//!
-//! Batch evaluations time themselves and feed the measured per-pair
-//! nanoseconds into [`KERNEL_BLOCK_TUNE`], a [`TuneState`] shared by
-//! every blocked call site. Exec-layer phases that chunk over kernel
-//! evaluations (e.g. the sparse builder) size their steals from this
-//! handle, so chunk sizes track the *post-SIMD* kernel cost instead of
-//! a guess calibrated on the scalar path.
-
-use std::time::Instant;
-
-use alid_exec::TuneState;
+//! The implementation below is plain Rust written so the four
+//! accumulator chains are independent (superscalar hardware overlaps
+//! them, and LLVM's SLP vectorizer may pack them).
 
 use crate::kernel::{LaplacianKernel, LpNorm};
 use crate::vector::Dataset;
 
-/// Measured per-pair cost of blocked kernel evaluation, shared by all
-/// blocked call sites. Exec phases whose unit of work is "one kernel
-/// evaluation" draw their chunk sizes from here.
-pub static KERNEL_BLOCK_TUNE: TuneState = TuneState::new();
-
 /// Rows per register tile: `f64x4`, one AVX register.
 pub const LANES: usize = 4;
-
-/// Batches smaller than this skip the timing fold — at a handful of
-/// pairs the `Instant` clock reads cost more than the arithmetic and
-/// would pollute the per-pair EMA with pure measurement overhead.
-const TUNE_MIN_PAIRS: usize = 32;
 
 /// Default outer-block height (rows handed to the tile loop per
 /// chunk) for dimension `dim`: targets ~16 KiB of row data (half a
@@ -91,11 +66,8 @@ pub struct BlockEval {
 }
 
 impl BlockEval {
-    /// Fresh scratch with no capacity reserved yet. Also publishes
-    /// [`KERNEL_BLOCK_TUNE`] into the obs registry (idempotent), so
-    /// any process that evaluates kernels exposes its tuner state.
+    /// Fresh scratch with no capacity reserved yet.
     pub fn new() -> Self {
-        alid_exec::tune::export_tune("kernel_block", &KERNEL_BLOCK_TUNE);
         Self::default()
     }
 
@@ -103,9 +75,6 @@ impl BlockEval {
     /// (flat row-major, `out.len()` rows of `dim` floats), writing the
     /// affinities into `out`. Bit-identical to calling
     /// [`LaplacianKernel::eval`] per row.
-    ///
-    /// Feeds the measured per-pair cost into [`KERNEL_BLOCK_TUNE`]
-    /// when the batch is large enough to time meaningfully.
     ///
     /// # Panics
     /// Panics if `rows.len() != out.len() * dim` or
@@ -137,16 +106,9 @@ impl BlockEval {
         out: &mut [f64],
         block: usize,
     ) {
-        let n = out.len();
-        let timed = n >= TUNE_MIN_PAIRS;
-        // alid-lint: allow(no-raw-time) -- feeds only the block autotuner; the tuned block size never changes output bytes
-        let started = timed.then(Instant::now);
         block_distances(kernel.norm, dim, rows, query, out, block);
         for o in out.iter_mut() {
             *o = (-kernel.k * *o).exp();
-        }
-        if let Some(t0) = started {
-            KERNEL_BLOCK_TUNE.record(n, t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -165,24 +127,17 @@ impl BlockEval {
         out: &mut [f64],
     ) {
         gather_rows(&mut self.gather, ds, ids);
-        let n = out.len();
-        let timed = n >= TUNE_MIN_PAIRS;
-        // alid-lint: allow(no-raw-time) -- feeds only the block autotuner; the tuned block size never changes output bytes
-        let started = timed.then(Instant::now);
         let block = default_block_rows(ds.dim());
         block_distances(kernel.norm, ds.dim(), &self.gather, query, out, block);
         for o in out.iter_mut() {
             *o = (-kernel.k * *o).exp();
         }
-        if let Some(t0) = started {
-            KERNEL_BLOCK_TUNE.record(n, t0.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Distances `||row_j - query||` for every row of flat row-major
     /// `rows`, bit-identical to [`LpNorm::distance`] per row. No cost
-    /// or tuner side effects — distance-only callers (ROI membership
-    /// tests) account for themselves.
+    /// side effects — distance-only callers (ROI membership tests)
+    /// account for themselves.
     ///
     /// # Panics
     /// Panics if `rows.len() != out.len() * dim` or
@@ -262,10 +217,6 @@ fn block_distances(
 /// receiving its own pair's squared terms in dimension order — the
 /// scalar loop's order — then the same final `sqrt` per pair.
 fn l2_rows(rows: &[f64], dim: usize, query: &[f64], out: &mut [f64]) {
-    #[cfg(feature = "simd-lanes")]
-    if crate::lanes::l2_rows(rows, dim, query, out) {
-        return;
-    }
     let query = &query[..dim];
     let b = out.len();
     let mut j = 0;
@@ -304,10 +255,6 @@ fn l2_rows(rows: &[f64], dim: usize, query: &[f64], out: &mut [f64]) {
 
 /// L1 distances; same register-tile layout.
 fn l1_rows(rows: &[f64], dim: usize, query: &[f64], out: &mut [f64]) {
-    #[cfg(feature = "simd-lanes")]
-    if crate::lanes::l1_rows(rows, dim, query, out) {
-        return;
-    }
     let query = &query[..dim];
     let b = out.len();
     let mut j = 0;
@@ -341,7 +288,7 @@ fn l1_rows(rows: &[f64], dim: usize, query: &[f64], out: &mut [f64]) {
 
 /// General Minkowski distances. `powf` is a scalar libm call per term
 /// and dwarfs everything else, so this is a straight per-row loop (no
-/// register tiling, no explicit-lanes variant) — the win here is the
+/// register tiling) — the win here is the
 /// bounds-check-free flat-storage walk.
 fn p_rows(rows: &[f64], dim: usize, query: &[f64], p: f64, out: &mut [f64]) {
     let query = &query[..dim];
@@ -352,20 +299,6 @@ fn p_rows(rows: &[f64], dim: usize, query: &[f64], p: f64, out: &mut [f64]) {
             acc += (row[d] - query[d]).abs().powf(p);
         }
         *o = acc.powf(1.0 / p);
-    }
-}
-
-/// Whether explicit SIMD lanes are compiled in **and** usable on this
-/// CPU. `false` means blocked evaluation runs the portable register-
-/// tile loop (results are identical either way).
-pub fn lanes_active() -> bool {
-    #[cfg(feature = "simd-lanes")]
-    {
-        crate::lanes::available()
-    }
-    #[cfg(not(feature = "simd-lanes"))]
-    {
-        false
     }
 }
 
@@ -434,19 +367,6 @@ mod tests {
             let want = k.norm.distance(ds.get(id as usize), &query);
             assert_eq!(got.to_bits(), want.to_bits());
         }
-    }
-
-    #[test]
-    fn large_batches_feed_the_tuner() {
-        let before = KERNEL_BLOCK_TUNE.snapshot().samples;
-        let dim = 16;
-        let ds = dataset(256, dim);
-        let query = ds.get(0).to_vec();
-        let mut out = vec![0.0; ds.len()];
-        BlockEval::new().eval_rows(&kernel(), dim, ds.as_flat(), &query, &mut out);
-        let snap = KERNEL_BLOCK_TUNE.snapshot();
-        assert!(snap.samples > before, "a 256-pair batch must land a sample");
-        assert!(snap.per_item_ns > 0.0);
     }
 
     #[test]

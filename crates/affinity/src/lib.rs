@@ -27,9 +27,8 @@
 //!   state space of the evolutionary-game dynamics;
 //! * [`clustering`] — the shared `Clustering` output vocabulary;
 //! * [`block`] — blocked, lane-per-pair batch kernel evaluation
-//!   (bit-identical to scalar; opt-in explicit AVX via the
-//!   `simd-lanes` feature) that every consumer above routes through,
-//!   feeding measured per-pair cost into the exec-layer autotuner.
+//!   (bit-identical to scalar) that every consumer above routes
+//!   through.
 
 #![warn(missing_docs)]
 pub mod block;
@@ -38,14 +37,12 @@ pub mod cost;
 pub mod dense;
 pub mod fx;
 pub mod kernel;
-#[cfg(feature = "simd-lanes")]
-pub mod lanes;
 pub mod local;
 pub mod simplex;
 pub mod sparse;
 pub mod vector;
 
-pub use block::{BlockEval, KERNEL_BLOCK_TUNE};
+pub use block::BlockEval;
 pub use clustering::{Clustering, DetectedCluster};
 pub use cost::{CostModel, CostSnapshot};
 pub use dense::DenseAffinity;

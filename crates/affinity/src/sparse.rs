@@ -9,13 +9,7 @@
 
 use std::sync::Arc;
 
-use alid_exec::{ExecPolicy, SharedSlice, TuneState};
-
-/// Chunk autotuner for the parallel edge-evaluation phase of
-/// [`SparseBuilder::build_with`] — one handle for this call site,
-/// shared by every sparse build in the process. Public for harness
-/// telemetry (`bench_speculation` emits its snapshot).
-pub static SPARSE_BUILD_TUNE: TuneState = TuneState::new();
+use alid_exec::{ExecPolicy, SharedSlice};
 
 use crate::block::BlockEval;
 use crate::cost::CostModel;
@@ -107,11 +101,9 @@ impl SparseBuilder {
         // per-edge values are independent of where spans (or runs) are
         // cut, so any worker count yields identical bytes.
         let mut edge_vals = vec![0.0f64; edge_list.len()];
-        alid_exec::tune::export_tune("sparse_build", &SPARSE_BUILD_TUNE);
         {
             let shared = SharedSlice::new(&mut edge_vals);
             exec.for_each_span_with(
-                Some(&SPARSE_BUILD_TUNE),
                 edge_list.len(),
                 || (BlockEval::new(), Vec::<u32>::new(), Vec::<f64>::new()),
                 |(scratch, ids, vals), span| {

@@ -1,9 +1,7 @@
-//! Bit-for-bit parity of the blocked kernel evaluator (and, when built
-//! with `--features simd-lanes`, the explicit-lanes path — this same
-//! suite runs under both feature sets in CI) against the scalar
-//! reference: odd dimensions, block-tail remainders, and adversarial
-//! values (±0.0, denormals, huge magnitudes) honoring the documented
-//! `== 0.0` support-skip contract.
+//! Bit-for-bit parity of the blocked kernel evaluator against the
+//! scalar reference: odd dimensions, block-tail remainders, and
+//! adversarial values (±0.0, denormals, huge magnitudes) honoring the
+//! documented `== 0.0` support-skip contract.
 
 use alid_affinity::block::{default_block_rows, BlockEval, LANES};
 use alid_affinity::cost::CostModel;

@@ -11,13 +11,6 @@
 //! to the scalar output before its timing counts (the bench doubles
 //! as a parity harness, like `bench_speculation`).
 //!
-//! The autotuner's state needs no bespoke plumbing here: `BlockEval`
-//! exports `KERNEL_BLOCK_TUNE` as `alid_tune_*{site="kernel_block"}`
-//! gauges, and the report header's `metrics` snapshot picks those up
-//! along with everything else the process registered. The report also
-//! records whether explicit SIMD lanes (`--features simd-lanes` +
-//! runtime AVX detection) were active.
-//!
 //! Output: aligned tables on stdout plus
 //! `experiments/BENCH_kernels.json`.
 //!
@@ -26,7 +19,7 @@
 
 use std::time::Instant;
 
-use alid_affinity::block::{default_block_rows, lanes_active, BlockEval};
+use alid_affinity::block::{default_block_rows, BlockEval};
 use alid_affinity::kernel::{LaplacianKernel, LpNorm};
 use alid_affinity::vector::Dataset;
 use alid_bench::report::fmt;
@@ -204,15 +197,11 @@ fn main() {
         &rows,
     );
 
-    // Header built after the sweep: its `metrics` snapshot then
-    // carries `alid_tune_*{site="kernel_block"}` — the autotuner state
-    // the old bespoke `kernel_block_tune` field used to duplicate.
-    let mut fields = alid_bench::report::run_header("alid-bench/kernels/1", 1);
+    let mut fields = alid_bench::report::run_header("alid-bench/kernels/2", 1);
     fields.extend([
         ("smoke", cli.smoke.to_json()),
         ("elems", elems.to_json()),
         ("reps", reps.to_json()),
-        ("simd_lanes_active", lanes_active().to_json()),
         ("dims", results.to_json()),
     ]);
     save_json("BENCH_kernels", &Json::object(fields));

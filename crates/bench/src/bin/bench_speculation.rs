@@ -13,13 +13,6 @@
 //! rounds, accepted / absorbed / re-run speculations, conflict rate
 //! and mean round width.
 //!
-//! A second section exercises the exec layer's autotuned phases (LSH
-//! build, sparse edge evaluation, matmul) and reports each call
-//! site's tuner state — the chosen chunk size and the measured
-//! per-item cost — read back from the shared metrics registry (each
-//! build site exports its `TuneState` as `alid_tune_*{site=...}`
-//! gauges) rather than by reaching into every crate's static.
-//!
 //! Output: an aligned table on stdout plus
 //! `experiments/BENCH_speculation.json`.
 //!
@@ -28,20 +21,14 @@
 //! `--trace-out=<path>` (record phase spans, drained to JSONL at
 //! exit).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use alid_affinity::cost::CostModel;
-use alid_affinity::kernel::LaplacianKernel;
-use alid_affinity::sparse::SparseBuilder;
-use alid_affinity::vector::Dataset;
 use alid_bench::fixtures::pair_chain;
 use alid_bench::report::fmt;
 use alid_bench::{print_table, save_json};
 use alid_core::{PeelStats, Peeler, SpeculationParams};
 use alid_exec::ExecPolicy;
-use alid_linalg::matrix::Mat;
-use alid_lsh::{LshIndex, LshParams};
 use serde::{Json, Serialize};
 
 struct Cli {
@@ -126,40 +113,6 @@ impl Serialize for Workload {
     }
 }
 
-/// Reads every exported autotuner back out of the process-global
-/// registry: `alid_tune_<field>{site="<site>"}` gauge series, grouped
-/// by site into the same `{site, per_item_ns, last_chunk, samples}`
-/// objects the report has always carried.
-fn autotune_from_registry() -> Vec<Json> {
-    let samples = alid_bench::report::metrics_snapshot();
-    let field_of = |site: &str, field: &str| {
-        samples.get(&format!("alid_tune_{field}{{site=\"{site}\"}}")).and_then(Json::as_f64)
-    };
-    let mut sites: Vec<String> = match &samples {
-        Json::Obj(fields) => fields
-            .iter()
-            .filter_map(|(k, _)| {
-                k.strip_prefix("alid_tune_per_item_ns{site=\"")
-                    .and_then(|rest| rest.strip_suffix("\"}"))
-                    .map(str::to_string)
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    sites.sort();
-    sites
-        .into_iter()
-        .map(|site| {
-            Json::object([
-                ("site", site.to_json()),
-                ("per_item_ns", field_of(&site, "per_item_ns").unwrap_or(0.0).to_json()),
-                ("last_chunk", (field_of(&site, "last_chunk").unwrap_or(0.0) as u64).to_json()),
-                ("samples", (field_of(&site, "samples").unwrap_or(0.0) as u64).to_json()),
-            ])
-        })
-        .collect()
-}
-
 /// Asserts the speculative clustering is byte-identical to the
 /// sequential baseline — the bench doubles as a parity harness.
 fn assert_parity(
@@ -175,26 +128,6 @@ fn assert_parity(
         assert_eq!(aw, bw, "{tag}: weights diverged");
         assert_eq!(a.density.to_bits(), b.density.to_bits(), "{tag}: density diverged");
     }
-}
-
-/// Exercises the autotuned exec phases so the tune report reflects
-/// parallel measurements, not just sequential ones: an LSH build, a
-/// sparse build over its neighbour lists, and a matmul.
-fn exercise_autotuned_phases(n: usize, exec: ExecPolicy) {
-    let flat: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.21 + (i / 97) as f64).collect();
-    let ds = Dataset::from_flat(1, flat);
-    let cost = CostModel::shared();
-    let index = LshIndex::build_with(&ds, LshParams::new(6, 4, 1.0, 9), &cost, exec);
-    let lists = index.neighbor_lists(&ds);
-    let mut b = SparseBuilder::new(ds.len());
-    b.add_neighbor_lists(&lists);
-    let kernel = LaplacianKernel::l2(1.0);
-    let _ = b.build_with(&ds, &kernel, Arc::clone(&cost), exec);
-    let dim = 64usize.min(n);
-    let data: Vec<f64> =
-        (0..dim * dim).map(|e| ((e / dim * 31 + e % dim * 7) % 13) as f64 * 0.1).collect();
-    let a = Mat::from_vec(dim, dim, data);
-    let _ = a.matmul_with(&a, exec);
 }
 
 fn main() {
@@ -277,44 +210,12 @@ fn main() {
         &rows,
     );
 
-    // Autotuner telemetry: run the tuned phases at the largest worker
-    // count (and sequentially for the 1-worker sample) before the
-    // snapshot.
-    let tune_n = if cli.smoke { 2_000 } else { 20_000 };
-    exercise_autotuned_phases(tune_n, ExecPolicy::sequential());
     let max_workers = worker_counts.iter().copied().max().unwrap_or(2);
-    exercise_autotuned_phases(tune_n, ExecPolicy::workers(max_workers));
-    // Every tuner the run touched exported itself into the registry at
-    // its build site — including any this bench doesn't know by name.
-    let autotune = autotune_from_registry();
-    let mut tune_rows = Vec::new();
-    for t in &autotune {
-        if let Json::Obj(fields) = t {
-            tune_rows.push(
-                fields
-                    .iter()
-                    .map(|(_, v)| match v {
-                        Json::Str(s) => s.clone(),
-                        Json::Num(x) => fmt(*x),
-                        Json::UInt(u) => u.to_string(),
-                        other => format!("{other:?}"),
-                    })
-                    .collect::<Vec<String>>(),
-            );
-        }
-    }
-    print_table(
-        "Chunk autotuner state after the sweep",
-        &["site", "per_item_ns", "last_chunk", "samples"],
-        &tune_rows,
-    );
-
-    let mut fields = alid_bench::report::run_header("alid-bench/speculation/1", max_workers);
+    let mut fields = alid_bench::report::run_header("alid-bench/speculation/2", max_workers);
     fields.extend([
         ("smoke", cli.smoke.to_json()),
         ("pairs", pairs.to_json()),
         ("workloads", workloads.to_json()),
-        ("autotune", Json::Arr(autotune)),
     ]);
     save_json("BENCH_speculation", &Json::object(fields));
 

@@ -12,7 +12,7 @@
 //! | `fig9_sift_scalability` | Fig. 9 — runtime / memory on SIFT subsets |
 //! | `fig10_visual_words` | Fig. 10 — qualitative visual-word detection |
 //! | `fig11_noise` | Fig. 11 — AVG-F vs noise degree, 8 methods |
-//! | `bench_speculation` | beyond the paper: speculative-peeling conflict rates, adaptive round width and exec-layer chunk autotuning on overlap sweeps |
+//! | `bench_speculation` | beyond the paper: speculative-peeling conflict rates and adaptive round width on overlap sweeps |
 //!
 //! Every binary runs at a laptop-friendly quick scale by default and at
 //! a larger scale with `--full`; absolute numbers differ from the

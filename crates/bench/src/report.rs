@@ -15,9 +15,9 @@ use serde::{Json, Serialize};
 /// what lets a reader tell a 1-CPU-container curve from a genuinely
 /// multi-core one (the long-carried ROADMAP re-measure item). The
 /// `metrics` field is a flat snapshot of the process-global registry
-/// at header-build time (pool activity, autotuner state, peeler
-/// telemetry), so every report carries the machine state that shaped
-/// its numbers — build the header *after* the measured work.
+/// at header-build time (pool activity, peeler telemetry), so every
+/// report carries the machine state that shaped its numbers — build
+/// the header *after* the measured work.
 pub fn run_header(schema: &str, workers: usize) -> Vec<(&'static str, Json)> {
     vec![
         ("schema", schema.to_json()),
@@ -137,7 +137,7 @@ mod tests {
     }
 
     /// Registered global series must surface in the header snapshot —
-    /// this is the path that stamps tuner/pool state into every
+    /// this is the path that stamps pool/peeler state into every
     /// `experiments/*.json`.
     #[test]
     fn metrics_snapshot_carries_registered_series() {

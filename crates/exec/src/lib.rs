@@ -27,14 +27,10 @@
 //! output, and `workers == 1` degenerates to a plain loop on the
 //! calling thread with zero thread overhead (the sequential fallback).
 //!
-//! Uniform span phases can additionally *autotune* their chunk size:
-//! given a per-call-site [`TuneState`] handle,
-//! [`ExecPolicy::for_each_span_with`] times each span it runs and feeds
-//! the observed per-item cost back into the handle, so cheap bodies get
-//! large chunks (amortizing the shared cursor) and expensive bodies
-//! small ones (load balance) — without the caller guessing. Untuned
-//! phases never read the clock. See [`tune`] for why timing noise can
-//! never reach the output bytes.
+//! Every span phase cuts its range with one fixed chunk rule computed
+//! from `n` and the worker count alone, so no file in this crate reads
+//! the clock and the schedule of a phase is a pure function of its
+//! inputs.
 //!
 //! [`SharedSlice`] is the escape hatch for partitioned writes into one
 //! buffer (the dense-matrix pattern, where row ownership guarantees
@@ -56,14 +52,25 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod pool;
-pub mod tune;
 
 pub use pool::thread_count as pool_thread_count;
-pub use tune::{export_tune, TuneSnapshot, TuneState};
+
+/// The chunk a span phase over `n` items on `workers` workers steals
+/// per cursor bump: one at a time below 4 items per worker
+/// (latency-bound fan-out, e.g. one ALID detection per seed), and
+/// `n / (8 * workers)` above it (throughput-bound sweeps), i.e. eight
+/// steals per worker. The cut never changes output bytes (see
+/// [`ExecPolicy::for_each_span_with`]), only how the range is balanced.
+fn heuristic_chunk(n: usize, workers: usize) -> usize {
+    if n < 4 * workers {
+        1
+    } else {
+        (n / (8 * workers)).max(1)
+    }
+}
 
 /// How a parallel phase should execute: on how many workers.
 ///
@@ -173,11 +180,8 @@ impl ExecPolicy {
     /// results) without paying a closure call per index. `init()` runs
     /// once per logical worker, as in [`Self::for_each_index_with`].
     ///
-    /// With `tune` set, the chunk comes from that per-call-site
-    /// [`TuneState`] and each span's duration is fed back into it (see
-    /// [`tune`]); without it the chunk is the fixed heuristic and the
-    /// phase never reads the clock. The sequential path runs one span
-    /// `0..n`.
+    /// The chunk is one fixed rule of `n` and the worker count; the
+    /// sequential path runs one span `0..n`.
     ///
     /// The phase's observable effect for index `i` must be independent
     /// of *how `0..n` is cut into spans* — any partition into disjoint,
@@ -186,9 +190,8 @@ impl ExecPolicy {
     /// accumulation stays private to its own lane (see `alid-affinity`'s
     /// `block` module); a body that carried state across the indices of
     /// one span would not. Triangular workloads should stay on the
-    /// strided [`Self::for_each_index`], whose partition balances them
-    /// without needing measurements.
-    pub fn for_each_span_with<S, I, F>(&self, tune: Option<&TuneState>, n: usize, init: I, f: F)
+    /// strided [`Self::for_each_index`], whose partition balances them.
+    pub fn for_each_span_with<S, I, F>(&self, n: usize, init: I, f: F)
     where
         I: Fn() -> S + Sync,
         F: Fn(&mut S, Range<usize>) + Sync,
@@ -198,47 +201,23 @@ impl ExecPolicy {
         }
         let workers = self.workers.get().min(n);
         if workers <= 1 {
-            // Untuned phases skip the clock entirely — the sequential
-            // fallback is the hot path for latency-bound fan-out.
-            let Some(tune) = tune else { return f(&mut init(), 0..n) };
-            let started = Instant::now();
-            f(&mut init(), 0..n);
-            tune.record(n, started.elapsed().as_nanos() as u64);
-            return;
+            return f(&mut init(), 0..n);
         }
-        let chunk = match tune {
-            Some(tune) => tune.chunk_for(n, workers),
-            None => tune::heuristic_chunk(n, workers),
-        };
+        let chunk = heuristic_chunk(n, workers);
         let cursor = AtomicUsize::new(0);
-        let busy_nanos = AtomicU64::new(0);
         pool::global().run_phase(workers, &|_t| {
             let mut scratch = init();
-            let mut local_nanos = 0u64;
             loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= n {
                     break;
                 }
-                let span = start..(start + chunk).min(n);
-                if tune.is_some() {
-                    let t0 = Instant::now();
-                    f(&mut scratch, span);
-                    local_nanos += t0.elapsed().as_nanos() as u64;
-                } else {
-                    f(&mut scratch, span);
-                }
-            }
-            if local_nanos > 0 {
-                busy_nanos.fetch_add(local_nanos, Ordering::Relaxed);
+                f(&mut scratch, start..(start + chunk).min(n));
             }
         });
-        if let Some(tune) = tune {
-            tune.record(n, busy_nanos.load(Ordering::Relaxed));
-        }
     }
 
-    /// Computes `f(i)` for every `i` in `0..n` on the untuned
+    /// Computes `f(i)` for every `i` in `0..n` on the
     /// [`Self::for_each_span_with`] schedule and returns the results
     /// **in index order**: each result is written straight into its
     /// own slot, so despite the dynamic schedule slot `i` always holds
@@ -252,7 +231,6 @@ impl ExecPolicy {
         {
             let slots = SharedSlice::new(&mut out.spare_capacity_mut()[..n]);
             self.for_each_span_with(
-                None,
                 n,
                 || (),
                 |(), span| {
@@ -389,8 +367,8 @@ mod tests {
             // Below 4 tasks per worker the heuristic steals one task at
             // a time; far above it, multi-task spans.
             let (below, above) = (4 * workers - 1, 1000);
-            assert_eq!(tune::heuristic_chunk(below, workers), 1);
-            assert!(tune::heuristic_chunk(above, workers) > 1);
+            assert_eq!(heuristic_chunk(below, workers), 1);
+            assert!(heuristic_chunk(above, workers) > 1);
             for n in [0, 1, below, above] {
                 let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
                 let got = ExecPolicy::workers(workers).map_indexed(n, |i| i * i);
@@ -418,30 +396,20 @@ mod tests {
 
     #[test]
     fn for_each_span_with_covers_every_index_exactly_once() {
-        // Untuned, then fresh, converged-cheap and converged-expensive
-        // tuners: every schedule must hand out each index exactly once,
-        // with the scratch threaded through every span of a worker, and
-        // every tuned phase feeds back one sample and steals chunks
-        // within the ceiling.
-        let primes = [None, Some((1_000_000usize, 50_000_000u64)), Some((100, 50_000_000))];
+        // n = 1 runs on the calling thread, n = 4·workers − 1 steals one
+        // index at a time and n = 203 steals multi-index chunks: every
+        // schedule must hand out each index exactly once, with the
+        // scratch threaded through every span of a worker.
         for workers in [1usize, 2, 3, 7] {
-            let tuners = primes.map(|prime| {
-                let tune = TuneState::new();
-                if let Some((items, nanos)) = prime {
-                    tune.record(items, nanos);
-                }
-                tune
-            });
-            let schedules = std::iter::once(None).chain(tuners.iter().map(Some));
-            for (k, tune) in schedules.enumerate() {
-                let primed = tune.map_or(0, |t| t.snapshot().samples);
-                let n = 203;
+            for n in [1, 4 * workers - 1, 203] {
+                let active = workers.min(n);
                 let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                let spans = AtomicUsize::new(0);
                 ExecPolicy::workers(workers).for_each_span_with(
-                    tune,
                     n,
                     || 0u64,
                     |scratch, span| {
+                        spans.fetch_add(1, Ordering::Relaxed);
                         for i in span {
                             *scratch = scratch.wrapping_add(1);
                             hits[i].fetch_add(1, Ordering::Relaxed);
@@ -450,32 +418,23 @@ mod tests {
                 );
                 assert!(
                     hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "{workers} workers, schedule {k}: missed or repeated an index"
+                    "{workers} workers, n={n}: missed or repeated an index"
                 );
-                if let Some(tune) = tune {
-                    let snap = tune.snapshot();
-                    assert_eq!(snap.samples, primed + 1, "{workers} workers, schedule {k}");
-                    let ceiling = n / (4 * workers);
-                    assert!(workers == 1 || (1..=ceiling).contains(&snap.last_chunk), "{k}");
-                }
+                let expected = if active == 1 { 1 } else { n.div_ceil(heuristic_chunk(n, active)) };
+                assert_eq!(spans.load(Ordering::Relaxed), expected, "{workers} workers, n={n}");
             }
         }
     }
 
     #[test]
     fn for_each_span_with_sequential_path_sees_one_span() {
-        let tune = TuneState::new();
-        for schedule in [None, Some(&tune)] {
-            let spans = std::sync::Mutex::new(Vec::new());
-            ExecPolicy::sequential().for_each_span_with(
-                schedule,
-                97,
-                || (),
-                |(), span| spans.lock().unwrap().push((span.start, span.end)),
-            );
-            assert_eq!(*spans.lock().unwrap(), vec![(0, 97)]);
-        }
-        assert_eq!(tune.snapshot().samples, 1, "only the tuned phase records");
+        let spans = std::sync::Mutex::new(Vec::new());
+        ExecPolicy::sequential().for_each_span_with(
+            97,
+            || (),
+            |(), span| spans.lock().unwrap().push((span.start, span.end)),
+        );
+        assert_eq!(*spans.lock().unwrap(), vec![(0, 97)]);
     }
 
     #[test]

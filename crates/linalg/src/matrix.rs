@@ -2,14 +2,7 @@
 //! spectral baselines need. Not a general-purpose BLAS: sizes here are
 //! `n x K` embeddings and landmark blocks of a few hundred rows.
 
-use alid_exec::{ExecPolicy, SharedSlice, TuneState};
-
-/// Chunk autotuner for the parallel row fan-out of
-/// [`Mat::matmul_with`] — one handle for this call site. Row cost
-/// scales with the inner dimension, which the timing feedback picks up
-/// without the caller passing shape hints. Public for harness
-/// telemetry.
-pub static MATMUL_TUNE: TuneState = TuneState::new();
+use alid_exec::{ExecPolicy, SharedSlice};
 
 /// Row-major dense matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -127,13 +120,11 @@ impl Mat {
             return self.matmul(other);
         }
         assert_eq!(self.cols, other.rows, "inner dimension mismatch");
-        alid_exec::tune::export_tune("matmul", &MATMUL_TUNE);
         let mut out = Mat::zeros(self.rows, other.cols);
         let cols = other.cols;
         {
             let shared = SharedSlice::new(&mut out.data);
             exec.for_each_span_with(
-                Some(&MATMUL_TUNE),
                 self.rows,
                 || vec![0.0f64; cols],
                 |orow, span| {

@@ -95,12 +95,14 @@ pub struct Config {
     /// Kernel crates: `no-fma` fires here.
     pub kernel: Vec<String>,
     /// Paths where thread spawns / clock reads are legitimate (the
-    /// exec pool and autotuner, the obs crate — the one sanctioned
+    /// exec pool's worker threads, the obs crate — the one sanctioned
     /// clock owner — benches, the HTTP front end, the journal's
-    /// group-commit writer thread). Timing there feeds chunk sizes,
-    /// reports, and fsync batching, never output values. Doubles as
-    /// the exposition allowlist for `no-metric-branching`: where a
-    /// clock may be read, a metric may be read back out for telemetry.
+    /// group-commit writer thread). Timing there feeds reports and
+    /// fsync batching, never output values; the exec scheduler itself
+    /// is not listed, so its chunk sizes cannot become time-dependent.
+    /// Doubles as the exposition allowlist for `no-metric-branching`:
+    /// where a clock may be read, a metric may be read back out for
+    /// telemetry.
     pub timing_allow: Vec<String>,
     /// The lock-disciplined crates: guard regions are tracked and the
     /// four `*-under-lock` / `lock-cycle` rules fire here (effect
@@ -113,12 +115,6 @@ pub struct Config {
     /// consistent cut — the one sanctioned shape); their callers hold
     /// the listed classes.
     pub lock_constructors: Vec<(String, Vec<String>)>,
-    /// Files that only enter the build under a cargo feature, keyed by
-    /// that feature; skipped unless the feature is in `features`. CI
-    /// runs the linter once per feature set so these are still covered.
-    pub gated_files: Vec<(String, String)>,
-    /// Enabled cargo features (`--features`).
-    pub features: Vec<String>,
     /// Enabled rules (`--only` / `--disable` reduce this set).
     pub enabled: BTreeSet<String>,
 }
@@ -131,7 +127,7 @@ impl Config {
             ordered: v(&["crates/core/", "crates/affinity/", "crates/lsh/", "crates/service/"]),
             kernel: v(&["crates/affinity/", "crates/linalg/"]),
             timing_allow: v(&[
-                "crates/exec/",
+                "crates/exec/src/pool.rs",
                 "crates/bench/",
                 "crates/obs/",
                 "crates/service/src/http.rs",
@@ -144,8 +140,6 @@ impl Config {
                 ("lock_shards".into(), vec!["shards".into()]),
                 ("lock_all".into(), vec!["shards".into(), "placements".into()]),
             ],
-            gated_files: vec![("crates/affinity/src/lanes.rs".into(), "simd-lanes".into())],
-            features: Vec::new(),
             enabled: RULES.iter().map(|s| s.to_string()).collect(),
         }
     }
@@ -163,8 +157,6 @@ impl Config {
                 ("lock_shards".into(), vec!["shards".into()]),
                 ("lock_all".into(), vec!["shards".into(), "placements".into()]),
             ],
-            gated_files: Vec::new(),
-            features: Vec::new(),
             enabled: RULES.iter().map(|s| s.to_string()).collect(),
         }
     }
@@ -184,7 +176,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     pub suppressed: usize,
     pub files_scanned: usize,
-    pub files_skipped: Vec<String>,
 }
 
 /// Per-file phase-1 output: the graph unit plus everything that does
@@ -243,7 +234,7 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config, pol: &ExecPolicy) ->
         (&a.file, a.line, &a.rule, &a.msg).cmp(&(&b.file, b.line, &b.rule, &b.msg))
     });
     findings.dedup();
-    Report { findings, suppressed, files_scanned: units.len(), files_skipped: Vec::new() }
+    Report { findings, suppressed, files_scanned: units.len() }
 }
 
 /// Lints one file's source text (single-file view of [`lint_files`]).
@@ -344,21 +335,12 @@ pub fn lint_root(root: &Path, cfg: &Config, pol: &ExecPolicy) -> std::io::Result
     let mut rels = Vec::new();
     collect_rs(root, root, &mut rels)?;
     rels.sort();
-    let mut skipped = Vec::new();
     let mut files = Vec::new();
     for rel in rels {
-        if let Some((_, feature)) = cfg.gated_files.iter().find(|(p, _)| p == &rel) {
-            if !cfg.features.iter().any(|f| f == feature) {
-                skipped.push(rel);
-                continue;
-            }
-        }
         let src = std::fs::read_to_string(root.join(&rel))?;
         files.push((rel, src));
     }
-    let mut rep = lint_files(&files, cfg, pol);
-    rep.files_skipped = skipped;
-    Ok(rep)
+    Ok(lint_files(&files, cfg, pol))
 }
 
 fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
@@ -440,12 +422,6 @@ pub fn cli_main(args: &[String]) -> i32 {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage_err("--root needs a path"),
             },
-            "--features" => match it.next() {
-                Some(f) => cfg
-                    .features
-                    .extend(f.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty())),
-                None => return usage_err("--features needs a comma-separated list"),
-            },
             "--only" => match it.next() {
                 Some(list) => {
                     let wanted: BTreeSet<String> =
@@ -485,7 +461,7 @@ pub fn cli_main(args: &[String]) -> i32 {
     match lint_root(&root, &cfg, &pol) {
         Ok(rep) => {
             match format {
-                Format::Json => println!("{}", report::to_json(&rep, &cfg)),
+                Format::Json => println!("{}", report::to_json(&rep)),
                 Format::Sarif => println!("{}", report::to_sarif(&rep)),
                 Format::Table => print!("{}", report::to_table(&rep)),
             }
@@ -515,8 +491,6 @@ const USAGE: &str = "usage: alid-lint [options]\n\
        --format <f>        table (default) | json | sarif\n\
        --json              alias for --format json\n\
        --workers <n>       parallel file scanning (default: auto)\n\
-       --features <csv>    cargo features in effect (feature-gated files\n\
-                           are skipped unless their feature is listed)\n\
        --only <rules>      run only these rules\n\
        --disable <rules>   run all but these rules\n\
        --help";

@@ -3,7 +3,7 @@
 //! registry access; pulling the serde shim in here would make the
 //! linter depend on a crate it lints).
 
-use crate::{Config, Report};
+use crate::Report;
 
 /// `file:line  rule  message`, aligned, with a one-line summary.
 pub fn to_table(rep: &Report) -> String {
@@ -20,21 +20,16 @@ pub fn to_table(rep: &Report) -> String {
         out.push_str(&format!("{loc:<loc_w$}  {rule:<rule_w$}  {msg}\n"));
     }
     out.push_str(&format!(
-        "{} finding{} ({} suppressed by annotations) across {} files{}\n",
+        "{} finding{} ({} suppressed by annotations) across {} files\n",
         rep.findings.len(),
         if rep.findings.len() == 1 { "" } else { "s" },
         rep.suppressed,
         rep.files_scanned,
-        if rep.files_skipped.is_empty() {
-            String::new()
-        } else {
-            format!("; skipped (feature-gated): {}", rep.files_skipped.join(", "))
-        },
     ));
     out
 }
 
-pub fn to_json(rep: &Report, cfg: &Config) -> String {
+pub fn to_json(rep: &Report) -> String {
     let mut out = String::from("{\n  \"findings\": [");
     for (i, f) in rep.findings.iter().enumerate() {
         if i > 0 {
@@ -53,11 +48,7 @@ pub fn to_json(rep: &Report, cfg: &Config) -> String {
     }
     out.push_str("],\n");
     out.push_str(&format!("  \"suppressed\": {},\n", rep.suppressed));
-    out.push_str(&format!("  \"files_scanned\": {},\n", rep.files_scanned));
-    let skipped: Vec<String> = rep.files_skipped.iter().map(|s| json_str(s)).collect();
-    out.push_str(&format!("  \"files_skipped\": [{}],\n", skipped.join(", ")));
-    let feats: Vec<String> = cfg.features.iter().map(|s| json_str(s)).collect();
-    out.push_str(&format!("  \"features\": [{}]\n}}", feats.join(", ")));
+    out.push_str(&format!("  \"files_scanned\": {}\n}}", rep.files_scanned));
     out
 }
 

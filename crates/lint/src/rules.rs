@@ -267,8 +267,8 @@ pub fn unsafe_needs_safety(ctx: &Ctx, out: &mut Vec<Finding>) {
 
 /// `no-raw-threads` / `no-raw-time`: `thread::spawn` (and `.spawn()`
 /// builders) and `Instant::now`/`SystemTime::now` are confined to the
-/// allowlisted modules (exec pool/autotuner, benches, the HTTP front
-/// end) — everywhere else a clock read or an unmanaged thread is a
+/// allowlisted modules (exec pool, benches, the HTTP front end) —
+/// everywhere else a clock read or an unmanaged thread is a
 /// channel through which scheduling could feed output values.
 pub fn raw_threads_and_time(ctx: &Ctx, out: &mut Vec<Finding>) {
     if Config::in_any(&ctx.cfg.timing_allow, ctx.rel) {

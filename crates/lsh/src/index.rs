@@ -7,19 +7,12 @@ use std::sync::Arc;
 use alid_affinity::cost::CostModel;
 use alid_affinity::fx::mix_words;
 use alid_affinity::vector::Dataset;
-use alid_exec::{ExecPolicy, SharedSlice, TuneState};
+use alid_exec::{ExecPolicy, SharedSlice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::gauss::sample_standard_normal;
 use crate::params::LshParams;
-
-/// Chunk autotuner for the parallel key-computation phase of
-/// [`LshIndex::build_with`] — one handle for this call site, shared by
-/// every build in the process so later builds start from the measured
-/// per-item cost. Public so harnesses can report the chosen chunk
-/// (`bench_speculation` emits its snapshot).
-pub static LSH_BUILD_TUNE: TuneState = TuneState::new();
 
 /// One hash table: `mu` projection directions, `mu` offsets and the
 /// bucket map from mixed key to member ids.
@@ -101,13 +94,11 @@ impl LshIndex {
         };
         // Phase 1 (parallel): the key of item `id` in table `t` depends
         // only on (id, t), so keys fan out over the items.
-        alid_exec::tune::export_tune("lsh_build", &LSH_BUILD_TUNE);
         let table_count = index.tables.len();
         let mut keys = vec![0u64; n * table_count];
         {
             let shared = SharedSlice::new(&mut keys);
             exec.for_each_span_with(
-                Some(&LSH_BUILD_TUNE),
                 n,
                 || vec![0u64; params.projections],
                 |signature, span| {

@@ -29,8 +29,8 @@
 //! # Registry shape
 //!
 //! A [`Registry`] is an explicit object, not ambient global state:
-//! process-wide subsystems (the exec pool, the chunk autotuners, the
-//! peeler) register in [`global()`], while each `Service` instance
+//! process-wide subsystems (the exec pool, the tracer, the peeler)
+//! register in [`global()`], while each `Service` instance
 //! owns a private registry so concurrently running services (the unit
 //! test norm) never bleed counters into each other. Registration
 //! dedupes on `(name, labels)` and hands back a shared handle; the
@@ -208,7 +208,7 @@ enum Kind {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     /// A gauge computed at render time (exports state owned elsewhere,
-    /// e.g. a `TuneState`'s EMA, without a second writer).
+    /// e.g. the exec pool's thread count, without a second writer).
     GaugeFn(Box<dyn Fn() -> f64 + Send + Sync>),
     Histogram(Arc<Histogram>),
 }
@@ -224,7 +224,7 @@ struct Entry {
 /// contribute their `_count` and `_sum`), for JSON provenance stamps.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sample {
-    /// Full series name with label set, e.g. `alid_tune_per_item_ns{site="matmul"}`.
+    /// Full series name with label set, e.g. `name{key="value"}`.
     pub series: String,
     pub value: f64,
 }
@@ -394,7 +394,7 @@ fn entry(name: &'static str, help: &'static str, labels: &[(&str, &str)], kind: 
     Entry { name, help, labels, kind }
 }
 
-/// The process-wide registry: exec pool, autotuners, peeler — state
+/// The process-wide registry: exec pool, tracer, peeler — state
 /// with exactly one instance per process. Anything instantiable many
 /// times per process (a `Service`) owns a private [`Registry`]
 /// instead, so tests running services side by side never mix series.

@@ -21,7 +21,7 @@
 //! | `GET /clusters?k=N` | — | top-k densest shard-local clusters (the raw fragment ranking) |
 //! | `GET /clusters?view=merged&k=N` | — | top-k of the fully reduced view: cross-shard fragments joined by union re-detection (`Service::top_k_merged`), plus the reduction's cost telemetry |
 //! | `POST /snapshot` | — | drain, then write a binary snapshot to the server's configured `--snapshot` path (never a client-supplied one) |
-//! | `GET /metrics` | — | Prometheus text exposition (`text/plain`): the service's private registry, live per-shard depth gauges, and the process-global registry (exec pool, autotuners, peeler, tracer) |
+//! | `GET /metrics` | — | Prometheus text exposition (`text/plain`): the service's private registry, live per-shard depth gauges, and the process-global registry (exec pool, peeler, tracer) |
 //!
 //! Keep-alive is honoured (`Connection: close` to opt out); malformed
 //! requests get `400`, unknown routes `404`, oversized bodies `413`.
@@ -632,7 +632,7 @@ fn dispatch(
 /// sources — this service's private registry (admission, drain, reduce
 /// and HTTP series), live per-shard depth gauges sampled at scrape
 /// time from one [`Service::depths`] call, and the process-global
-/// registry (exec pool, autotuners, peeler, tracer).
+/// registry (exec pool, peeler, tracer).
 fn metrics_text(service: &Service) -> Reply {
     use alid_obs::expo;
     // alid-lint: allow(no-metric-branching) -- this IS the exposition surface
@@ -1111,6 +1111,19 @@ mod tests {
         w.flush().unwrap();
         let (status, _) = client.read_response().unwrap();
         assert_eq!(status, 400);
+        // A number beyond f64's range is a parse error, not an
+        // infinity admitted into a shard or probed against one.
+        for (path, body) in
+            [("/ingest", r#"{"items":[[1e999]]}"#), ("/assign", r#"{"vector":[1e999]}"#)]
+        {
+            let mut c = Client::connect(&addr).unwrap();
+            let w = c.stream.get_mut();
+            write!(w, "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+                .unwrap();
+            w.flush().unwrap();
+            let (status, resp) = c.read_response().unwrap();
+            assert_eq!(status, 400, "{path} {body}: {resp:?}");
+        }
         // The server survives for the next client.
         let mut c2 = Client::connect(&addr).unwrap();
         let (status, _) = c2.request("GET", "/healthz", None).unwrap();

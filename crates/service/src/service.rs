@@ -273,7 +273,7 @@ pub(crate) struct Shard {
 /// Private rather than process-global on purpose: tests run many
 /// services in one process, and a shared registry would bleed one
 /// service's busy counts into another's `/healthz`. Everything that
-/// *is* process-global (exec pool, autotuners, peeler, tracer) lives
+/// *is* process-global (exec pool, peeler, tracer) lives
 /// in `alid_obs::global()`; the HTTP front end renders both at
 /// `GET /metrics` and registers its own series into this registry via
 /// [`Service::metrics_registry`].

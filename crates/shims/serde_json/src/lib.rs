@@ -356,6 +356,11 @@ impl Parser<'_> {
         }
         let n: f64 =
             text.parse().map_err(|e| Error::at(start, format!("bad number {text:?}: {e}")))?;
+        // Like serde_json: a literal beyond f64's range is an error,
+        // not an infinity no caller can compute with.
+        if !n.is_finite() {
+            return Err(Error::at(start, format!("number out of range {text:?}")));
+        }
         Ok(Json::Num(n))
     }
 }
@@ -453,6 +458,17 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\" 1}"] {
             assert!(from_str(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parser_rejects_numbers_that_overflow_f64() {
+        for bad in ["1e999", "-1e999", "[0, 1e999]"] {
+            let err = from_str(bad).unwrap_err().to_string();
+            assert!(err.contains("out of range"), "{bad:?}: {err}");
+        }
+        assert!(from_str("[0, -1e999]").unwrap_err().to_string().contains("at byte 4"));
+        // Underflow rounds to zero, as in serde_json.
+        assert_eq!(from_str("1e-999").unwrap(), Json::Num(0.0));
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn bench_civs_queries(c: &mut Criterion) {
         let single = [alpha[0]];
         b.iter(|| {
             let mut res = civs(&ds.data, &kernel, &index, &single, &center, radius, 800);
-            res.psi.retain(|id| !alpha.contains(id));
+            res.retain(|id| !alpha.contains(id));
             black_box(res)
         });
     });
@@ -80,13 +80,13 @@ fn bench_civs_queries(c: &mut Criterion) {
     let multi = civs(&ds.data, &kernel, &index, &alpha, &center, radius, 800);
     let single = {
         let mut res = civs(&ds.data, &kernel, &index, &[alpha[0]], &center, radius, 800);
-        res.psi.retain(|id| !alpha.contains(id));
+        res.retain(|id| !alpha.contains(id));
         res
     };
     eprintln!(
         "[civs ablation] multi-query retrieved {} in-ROI candidates, single probe {}",
-        multi.psi.len(),
-        single.psi.len()
+        multi.len(),
+        single.len()
     );
     group.finish();
 }

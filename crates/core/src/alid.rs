@@ -8,7 +8,7 @@
 //! hits. Only the column group `A_{βα}` is ever computed, giving the
 //! `O(C(a*+δ)n)` / `O(a*(a*+δ))` bounds of Section 4.5.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use alid_affinity::clustering::DetectedCluster;
 use alid_affinity::cost::CostModel;
@@ -16,7 +16,7 @@ use alid_affinity::local::LocalAffinity;
 use alid_affinity::vector::Dataset;
 use alid_lsh::LshIndex;
 
-use crate::civs::civs;
+use crate::civs::{center_distances, nearest_within, retrieve};
 use crate::config::AlidParams;
 use crate::lid::{lid_converge, LidState};
 use crate::roi::Roi;
@@ -56,6 +56,7 @@ pub fn detect_one(
     cost: &Arc<CostModel>,
 ) -> AlidOutcome {
     assert!((seed as usize) < ds.len(), "seed {seed} out of range");
+    let uncertified = uncertified_counter();
     let kernel = params.kernel;
     // Algorithm 2, line 1: α = β = {i}, x = s_i, A_{βα}x_α = a_ii = 0.
     let mut beta: Vec<u32> = vec![seed];
@@ -67,6 +68,12 @@ pub fn detect_one(
     let mut alpha: Vec<u32> = vec![seed];
     let mut weights: Vec<f64> = vec![1.0];
     let mut density = 0.0;
+    // The index is read-only for the whole call, so CIVS's raw hits
+    // depend on α alone: keep the last support's hits and re-fetch them
+    // only when α changes. The empty start is exact too, since an empty
+    // support retrieves nothing.
+    let mut hits_of: Vec<u32> = Vec::new();
+    let mut hits: Vec<u32> = Vec::new();
 
     let mut c = 1;
     while c <= params.max_alid_iters {
@@ -94,20 +101,27 @@ pub fn detect_one(
         let at_outer_ball = radius >= r_out * (1.0 - 1e-9);
 
         // ---- Step 3: CIVS --------------------------------------------
-        let found = civs(ds, &kernel, index, &alpha, &center, radius, params.delta);
-        touched.extend_from_slice(&found.psi);
-        if found.psi.is_empty() {
+        if hits_of != alpha {
+            hits = retrieve(ds, index, &alpha);
+            hits_of.clone_from(&alpha);
+        }
+        let dists = center_distances(ds, &kernel, &hits, &center);
+        let psi = nearest_within(&hits, &dists, radius, params.delta);
+        touched.extend_from_slice(&psi);
+        if psi.is_empty() {
             // Nothing new inside the scheduled radius. Before spending
             // further iterations on the θ(c) schedule, probe the outer
             // ball directly: Proposition 1 guarantees every vertex
             // beyond R_out is immune, so an empty outer-ball probe
-            // certifies x̂ as a global dense subgraph (Theorem 1).
+            // certifies x̂ as a global dense subgraph (Theorem 1). The
+            // probe shares this iteration's support and centre, so it
+            // filters the same hits at the same distances.
             let certified = at_outer_ball || {
-                let probe = civs(ds, &kernel, index, &alpha, &center, r_out, params.delta);
+                let probe = nearest_within(&hits, &dists, r_out, params.delta);
                 // The probe's hits gate certification, so they are part
                 // of the detection's read set.
-                touched.extend_from_slice(&probe.psi);
-                probe.psi.is_empty()
+                touched.extend_from_slice(&probe);
+                probe.is_empty()
             };
             if certified {
                 converged_globally = true;
@@ -124,7 +138,7 @@ pub fn detect_one(
         // Update per Eq. 17: β ← α ∪ ψ; keep (A_{αα} x̂_α) rows, compute
         // the (A_{ψα} x̂_α) rows directly.
         let g_alpha = restrict(&state, &sup);
-        let g_psi = aff.product_rows(&found.psi, &alpha, &weights);
+        let g_psi = aff.product_rows(&psi, &alpha, &weights);
         let infective_scale = params.tol * (1.0 + density.abs());
         let any_infective = g_psi.iter().any(|&g| g - density > infective_scale);
         if !any_infective && at_outer_ball && density > 0.0 {
@@ -134,7 +148,7 @@ pub fn detect_one(
             break;
         }
 
-        beta = alpha.iter().copied().chain(found.psi.iter().copied()).collect();
+        beta = alpha.iter().copied().chain(psi.iter().copied()).collect();
         let mut x = weights.clone();
         x.resize(beta.len(), 0.0);
         let mut g = g_alpha;
@@ -153,6 +167,9 @@ pub fn detect_one(
     };
     touched.sort_unstable();
     touched.dedup();
+    if !converged_globally {
+        uncertified.inc();
+    }
     AlidOutcome {
         cluster,
         iterations: c.min(params.max_alid_iters),
@@ -160,6 +177,21 @@ pub fn detect_one(
         converged_globally,
         touched,
     }
+}
+
+/// `alid_detect_uncertified_total`: detections that exit with
+/// `converged_globally == false`, discarded speculations included.
+/// Registered by the first detection, so `/metrics` reports 0 rather
+/// than omitting the series.
+fn uncertified_counter() -> &'static alid_obs::Counter {
+    static COUNTER: OnceLock<Arc<alid_obs::Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| {
+        alid_obs::global().counter(
+            "alid_detect_uncertified_total",
+            "Detections that stopped at the iteration cap without certifying a global dense subgraph",
+            &[],
+        )
+    })
 }
 
 /// Rows of the product vector `g` at the support positions, in support
@@ -258,6 +290,19 @@ mod tests {
         let idx = index(&ds, &p);
         let out = detect_one(&ds, &p, &idx, 0, &CostModel::shared());
         assert!(out.iterations <= 2);
+    }
+
+    #[test]
+    fn capped_detection_counts_as_uncertified() {
+        let ds = fixture();
+        let p = params(&ds).with_iteration_caps(1, 50);
+        let idx = index(&ds, &p);
+        // Other tests share the process-global counter, so only a lower
+        // bound holds.
+        let before = uncertified_counter().metric_value();
+        let out = detect_one(&ds, &p, &idx, 0, &CostModel::shared());
+        assert!(!out.converged_globally);
+        assert!(uncertified_counter().metric_value() > before);
     }
 
     #[test]

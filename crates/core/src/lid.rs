@@ -78,6 +78,13 @@ pub struct LidOutcome {
 /// density.
 pub fn lid_step(aff: &mut LocalAffinity<'_>, state: &mut LidState, tol: f64) -> Option<f64> {
     let pi = state.density();
+    step(aff, state, pi, tol)
+}
+
+/// [`lid_step`] on a state whose density `pi = x·g` the caller already
+/// holds: the density a step returns is the next step's `pi`, bit for
+/// bit, so [`lid_converge`] carries it instead of recomputing it.
+fn step(aff: &mut LocalAffinity<'_>, state: &mut LidState, pi: f64, tol: f64) -> Option<f64> {
     let scale = tol * (1.0 + pi.abs());
 
     // Select M(x) per Eq. 6: the vertex maximising |π(s_i − x, x)| over
@@ -152,9 +159,13 @@ pub fn lid_converge(
     debug_assert_eq!(state.x.len(), aff.len(), "state/range size mismatch");
     let mut iterations = 0;
     let mut converged = false;
+    let mut pi = state.density();
     while iterations < max_iters {
-        match lid_step(aff, state, tol) {
-            Some(_) => iterations += 1,
+        match step(aff, state, pi, tol) {
+            Some(next) => {
+                pi = next;
+                iterations += 1;
+            }
             None => {
                 converged = true;
                 break;

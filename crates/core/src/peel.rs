@@ -330,7 +330,7 @@ fn peel(index: &mut LshIndex, seed: u32, members: &[u32]) {
 ///
 /// `subset` lists the rows to detect over, strictly ascending. The
 /// rows are compacted into a private [`Dataset`], a fresh LSH index is
-/// built over them with `params.lsh`, and the shared [`peel_pass`]
+/// built over them with `params.lsh`, and the shared `peel_pass`
 /// runs to exhaustion — the same LID/ROI/CIVS machinery, honouring
 /// `params.exec` (speculative multi-seed rounds under a parallel
 /// policy, byte-identical to sequential for any worker count).

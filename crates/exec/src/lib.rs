@@ -37,7 +37,7 @@
 //! disjointness but the type system cannot see it).
 //!
 //! Parallel phases execute on a **lazily started persistent worker
-//! pool** (see [`pool`]): the first parallel phase spawns the workers,
+//! pool** (the private `pool` module): the first parallel phase spawns the workers,
 //! later phases reuse them, so per-phase cost is an enqueue and a
 //! wakeup instead of `workers - 1` thread spawns. `workers == 1` never
 //! touches the pool at all — the sequential fast path is a plain loop

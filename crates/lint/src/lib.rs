@@ -2,23 +2,23 @@
 //!
 //! Every guarantee this reproduction ships (byte-identical results
 //! across worker counts, restore-then-continue parity, merged-view
-//! equivalence, bit-for-bit blocked/SIMD kernels) is otherwise only
+//! equivalence, bit-for-bit blocked kernels) is otherwise only
 //! enforced *dynamically*, by parity tests that can miss whatever the
 //! fixtures don't reach. This crate encodes the constraints those
 //! guarantees rest on as a static-analysis pass over the whole
 //! workspace — a real (hand-rolled, std-only) Rust lexer plus a
 //! lightweight item scanner feeding six per-file rules:
 //!
-//! * [`no-unordered-iteration`] — iterating a `HashMap`/`HashSet` in a
+//! * `no-unordered-iteration` — iterating a `HashMap`/`HashSet` in a
 //!   result-affecting crate leaks hash order into outputs;
-//! * [`no-fma`] — `mul_add`/FMA intrinsics in kernel crates break the
-//!   bit-for-bit blocked/SIMD argument (round once per op, not fused);
-//! * [`unsafe-needs-safety`] — every `unsafe` block/fn/impl must carry
+//! * `no-fma` — `mul_add`/FMA intrinsics in kernel crates break the
+//!   bit-for-bit blocked-kernel argument (round once per op, not fused);
+//! * `unsafe-needs-safety` — every `unsafe` block/fn/impl must carry
 //!   a `// SAFETY:` comment (or `# Safety` doc section);
-//! * [`no-raw-threads`] / [`no-raw-time`] — thread spawns and clock
+//! * `no-raw-threads` / `no-raw-time` — thread spawns and clock
 //!   reads only in allowlisted modules, so timing can never feed
 //!   output values;
-//! * [`no-metric-branching`] — observation is telemetry, never
+//! * `no-metric-branching` — observation is telemetry, never
 //!   control: a result-affecting crate may bump `alid-obs` metrics but
 //!   never read one back outside an exposition surface or a test;
 //!
@@ -26,14 +26,14 @@
 //! call graph + effect fixpoint, `callgraph.rs` / `lockset.rs`) behind
 //! four more rules in the lock-disciplined crates:
 //!
-//! * [`lock-cycle`] — a second same-class lock acquisition reachable
+//! * `lock-cycle` — a second same-class lock acquisition reachable
 //!   while one is held (self-deadlock; replaces the former intra-fn
 //!   `lock-order` heuristic);
-//! * [`exec-under-lock`] — an `ExecPolicy` dispatch reachable under a
+//! * `exec-under-lock` — an `ExecPolicy` dispatch reachable under a
 //!   shard guard (the PR 4 deadlock class, statically banned);
-//! * [`panic-under-lock`] — `unwrap`/`expect`/`panic!`/`assert!`
+//! * `panic-under-lock` — `unwrap`/`expect`/`panic!`/`assert!`
 //!   reachable under a guard (mutex poisoning);
-//! * [`block-under-lock`] — file/socket I/O under a guard.
+//! * `block-under-lock` — file/socket I/O under a guard.
 //!
 //! Suppression is per-site and must be justified:
 //!

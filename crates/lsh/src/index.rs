@@ -2,7 +2,7 @@
 //! with an inverted list and tombstone deletion.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use alid_affinity::cost::CostModel;
 use alid_affinity::fx::mix_words;
@@ -221,16 +221,15 @@ impl LshIndex {
     }
 
     /// Pushes every *alive* item colliding with `v` in any table onto
-    /// `out` (duplicates across tables included — callers dedup once per
-    /// multi-query batch).
+    /// `out`, duplicates across tables included, in table order.
     pub fn query_into(&self, v: &[f64], out: &mut Vec<u32>) {
         let mut signature = vec![0u64; self.params.projections];
+        let mut visited = 0;
         for t in 0..self.tables.len() {
             let key = self.key_into(t, v, &mut signature);
-            if let Some(bucket) = self.tables[t].buckets.get(&key) {
-                out.extend(bucket.iter().copied().filter(|&id| self.alive[id as usize]));
-            }
+            visited += self.scan_bucket(t, key, out);
         }
+        bucket_entries().add(visited as u64);
     }
 
     /// Alive items colliding with `v` in any table, deduplicated and
@@ -245,14 +244,39 @@ impl LshIndex {
 
     /// Union of [`Self::query`] over several query points — the CIVS
     /// multi-query retrieval of Fig. 4(b). Deduplicated and sorted.
+    ///
+    /// Near-duplicate query points hash to the same buckets, so the
+    /// `(table, key)` pairs of every query are gathered and deduplicated
+    /// first and each distinct bucket is scanned once: the union's cost
+    /// is the distinct buckets' size, not `|queries| * l` bucket scans.
     pub fn multi_query<'q>(&self, queries: impl IntoIterator<Item = &'q [f64]>) -> Vec<u32> {
-        let mut out = Vec::new();
+        let queries = queries.into_iter();
+        let mut signature = vec![0u64; self.params.projections];
+        let mut keys = Vec::with_capacity(queries.size_hint().0 * self.tables.len());
         for q in queries {
-            self.query_into(q, &mut out);
+            for t in 0..self.tables.len() {
+                keys.push((t, self.key_into(t, q, &mut signature)));
+            }
         }
+        keys.sort_unstable();
+        keys.dedup();
+        let mut out = Vec::new();
+        let mut visited = 0;
+        for (t, key) in keys {
+            visited += self.scan_bucket(t, key, &mut out);
+        }
+        bucket_entries().add(visited as u64);
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// Pushes the alive members of bucket `key` of table `t` onto `out`
+    /// and returns the entries visited, tombstones included.
+    fn scan_bucket(&self, t: usize, key: u64, out: &mut Vec<u32>) -> usize {
+        let Some(bucket) = self.tables[t].buckets.get(&key) else { return 0 };
+        out.extend(bucket.iter().copied().filter(|&id| self.alive[id as usize]));
+        bucket.len()
     }
 
     /// Approximate-nearest-neighbour lists for sparsification
@@ -289,6 +313,21 @@ impl LshIndex {
     pub fn bucket_count(&self) -> usize {
         self.tables.iter().map(|t| t.buckets.len()).sum()
     }
+}
+
+/// `alid_work_total{phase="lsh",unit="bucket_entries"}`: bucket
+/// entries visited by `query_into` and `multi_query`, tombstones
+/// included, added once per call. Registered by the first query, so
+/// `/metrics` reports 0 rather than omitting the series.
+fn bucket_entries() -> &'static alid_obs::Counter {
+    static COUNTER: OnceLock<Arc<alid_obs::Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| {
+        alid_obs::global().counter(
+            "alid_work_total",
+            "Hardware-independent work done, by phase and unit",
+            &[("phase", "lsh"), ("unit", "bucket_entries")],
+        )
+    })
 }
 
 #[cfg(test)]
@@ -364,6 +403,30 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(union, sorted);
+    }
+
+    #[test]
+    fn multi_query_counts_at_least_its_distinct_buckets() {
+        let ds = blob_dataset();
+        let idx = build(&ds, 1.0);
+        // Near-duplicate and repeated queries share buckets.
+        let queries = [ds.get(0), ds.get(1), ds.get(0), ds.get(25)];
+        let mut signature = vec![0u64; idx.params.projections];
+        let mut keys: Vec<(usize, u64)> = Vec::new();
+        for q in queries {
+            for t in 0..idx.tables.len() {
+                keys.push((t, idx.key_into(t, q, &mut signature)));
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let distinct: usize =
+            keys.iter().map(|&(t, key)| idx.tables[t].buckets.get(&key).map_or(0, Vec::len)).sum();
+        // Other tests share the process-global counter, so only a lower
+        // bound holds.
+        let before = bucket_entries().metric_value();
+        let _ = idx.multi_query(queries);
+        assert!(bucket_entries().metric_value() - before >= distinct as u64);
     }
 
     #[test]

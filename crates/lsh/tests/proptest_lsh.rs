@@ -1,6 +1,6 @@
 //! Property-based tests of the LSH substrates: determinism, tombstone
-//! laws, and locality (nearer pairs collide at least as often as far
-//! pairs, on average over hash draws).
+//! laws, the multi-query union, and locality (nearer pairs collide at
+//! least as often as far pairs, on average over hash draws).
 
 use alid_affinity::cost::CostModel;
 use alid_affinity::vector::Dataset;
@@ -15,8 +15,65 @@ fn dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// A few base rows plus copies of them: exact duplicates and
+/// near-duplicates (a per-coordinate jitter of at most 1e-3), the rows
+/// whose queries repeat `(table, key)` pairs in a multi-query.
+fn dataset_with_duplicates() -> impl Strategy<Value = Dataset> {
+    let base = prop::collection::vec(-10.0f64..10.0, 3 * 2..=3 * 6);
+    let copies = prop::collection::vec((0usize..1000, 0u8..2, -1e-3f64..1e-3), 10..=40);
+    (base, copies).prop_map(|(base, copies)| {
+        let rows = base.len() / 3;
+        let mut ds = Dataset::new(3);
+        for r in 0..rows {
+            ds.push(&base[3 * r..3 * r + 3]);
+        }
+        for (pick, near, jitter) in copies {
+            let row = &base[3 * (pick % rows)..3 * (pick % rows) + 3];
+            if near == 0 {
+                ds.push(row);
+            } else {
+                ds.push(&row.iter().map(|v| v + jitter).collect::<Vec<_>>());
+            }
+        }
+        ds
+    })
+}
+
+/// The sorted, deduplicated union of `query(v)` over `support`.
+fn union_of_queries(idx: &LshIndex, ds: &Dataset, support: &[usize]) -> Vec<u32> {
+    let mut union: Vec<u32> = support.iter().flat_map(|&i| idx.query(ds.get(i))).collect();
+    union.sort_unstable();
+    union.dedup();
+    union
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `multi_query` over a support is exactly the union of its members'
+    /// single queries — with repeated support members, with a random
+    /// tombstoned subset, and again after `restore_all`.
+    #[test]
+    fn multi_query_is_the_union_of_queries(
+        ds in dataset_with_duplicates(),
+        shape in (1usize..=4, 1usize..=4),
+        seed in 0u64..1000,
+        picks in prop::collection::vec(0usize..1000, 1..=12),
+        dead in prop::collection::vec(0usize..1000, 0..=15),
+    ) {
+        let (tables, projections) = shape;
+        let params = LshParams::new(tables, projections, 1.0, seed);
+        let mut idx = LshIndex::build(&ds, params, &CostModel::shared());
+        let support: Vec<usize> = picks.iter().map(|&p| p % ds.len()).collect();
+        let multi = |idx: &LshIndex| idx.multi_query(support.iter().map(|&i| ds.get(i)));
+        prop_assert_eq!(multi(&idx), union_of_queries(&idx, &ds, &support), "no tombstones");
+        for &d in &dead {
+            idx.remove((d % ds.len()) as u32);
+        }
+        prop_assert_eq!(multi(&idx), union_of_queries(&idx, &ds, &support), "tombstoned");
+        idx.restore_all();
+        prop_assert_eq!(multi(&idx), union_of_queries(&idx, &ds, &support), "restored");
+    }
 
     /// Every item collides with itself (recall of the query point is 1).
     #[test]

@@ -55,7 +55,7 @@
 //!
 //! The snapshot codec captures the cut position and asks the writer
 //! to rotate segments while it still holds every service lock (see
-//! [`Journal::rotate_for_cut`]); once the snapshot is durably on
+//! `Journal::rotate_for_cut`); once the snapshot is durably on
 //! disk, [`Journal::truncate_below`] deletes every closed segment
 //! whose frames all lie below the cut. A crash between the snapshot
 //! rename and the truncation is safe: replay skips frames below the

@@ -12,12 +12,10 @@
 //!
 //! 1. **Cut** (`Service::reduce_cut`): under all shard locks + the
 //!    placement lock — the snapshot codec's consistent-cut discipline
-//!    — every shard-local cluster becomes a [`FragmentCut`]: global
-//!    member ids, density, its
-//!    [`MergeEvidence`](alid_core::streaming::MergeEvidence)
-//!    (centroid + bounded support sample) and the router signature of
-//!    its centroid.
-//! 2. **Candidate generation** ([`candidate_groups`]): fragments of a
+//!    — every shard-local cluster becomes a `FragmentCut`: global
+//!    member ids, density, its [`MergeEvidence`] (centroid + bounded
+//!    support sample) and the router signature of its centroid.
+//! 2. **Candidate generation** (`candidate_groups`): fragments of a
 //!    straddling cluster have near-identical centroid signatures *by
 //!    construction* (their centroids nearly coincide, so at most the
 //!    straddled planes separate them), so candidate pairs come from
@@ -26,7 +24,7 @@
 //!    cross-shard pairs qualify: two clusters on one shard were
 //!    separated by the dynamics *with both visible*, and re-merging
 //!    them would second-guess the core algorithm.
-//! 3. **Affinity test + union re-detection** ([`merge`]): a pair
+//! 3. **Affinity test + union re-detection** (`merge`): a pair
 //!    links when the kernel affinity between the fragments' centroids
 //!    and between their support samples clears the detection
 //!    threshold; linked fragments are grouped (union-find) and each

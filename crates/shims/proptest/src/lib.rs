@@ -262,7 +262,7 @@ pub mod collection {
         BTreeSetStrategy { elem, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: SizeRange,

@@ -1,5 +1,5 @@
 //! Offline shim for the `serde_json` crate: renders the shim-serde
-//! [`Json`](serde::Json) data model as JSON text and parses text back
+//! [`Json`] data model as JSON text and parses text back
 //! into the model. The entry points mirror the surface the workspace
 //! calls on the real crate: [`to_string`] / [`to_string_pretty`]
 //! (infallible here but keeping the `Result` signature) and

@@ -119,17 +119,6 @@ impl DenseAffinity {
         Self { n, a, cost }
     }
 
-    /// Wraps an externally built matrix (used by tests and by the
-    /// sparsification study to densify small sparse matrices).
-    ///
-    /// # Panics
-    /// Panics if `a.len() != n * n`.
-    pub fn from_raw(n: usize, a: Vec<f64>, cost: Arc<CostModel>) -> Self {
-        assert_eq!(a.len(), n * n, "matrix buffer must be n^2");
-        cost.alloc_entries((n * n) as u64);
-        Self { n, a, cost }
-    }
-
     /// Matrix order `n`.
     #[inline]
     pub fn n(&self) -> usize {

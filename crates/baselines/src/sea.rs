@@ -11,7 +11,6 @@
 
 use alid_affinity::clustering::{Clustering, DetectedCluster};
 use alid_affinity::fx::FxHashSet;
-use alid_affinity::simplex;
 
 use crate::common::{Graph, HaltPolicy};
 use crate::rd::{rd_converge, RdParams};
@@ -159,21 +158,6 @@ pub fn sea_detect_all<G: Graph>(graph: &G, params: &SeaParams) -> Clustering {
         }
     }
     clustering
-}
-
-/// Density of a subgraph under uniform weights (diagnostic used by the
-/// SEA tests).
-pub fn uniform_pi<G: Graph>(graph: &G, members: &[u32]) -> f64 {
-    let n = graph.n();
-    let mut x = vec![0.0; n];
-    let w = 1.0 / members.len().max(1) as f64;
-    for &m in members {
-        x[m as usize] = w;
-    }
-    let support: Vec<usize> = members.iter().map(|&m| m as usize).collect();
-    let mut ax = vec![0.0; n];
-    graph.matvec_support(&x, &support, &mut ax);
-    simplex::dot(&x, &ax)
 }
 
 #[cfg(test)]

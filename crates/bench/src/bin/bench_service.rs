@@ -190,9 +190,7 @@ fn straddle_cells(exec: ExecPolicy, shard_counts: &[usize]) -> Vec<StraddleCell>
     let mut reference: Option<Vec<Vec<u64>>> = None;
     let mut cells = Vec::new();
     for &shards in shard_counts {
-        let mut params = fx.params;
-        params.exec = exec;
-        let mut cfg = ServiceConfig::new(2, shards, params).with_batch(8).with_exec(exec);
+        let mut cfg = ServiceConfig::new(2, shards, fx.params).with_batch(8).with_exec(exec);
         cfg.router_seed = fx.router_seed;
         let svc = Service::new(cfg);
         for v in &fx.items {

@@ -1,17 +1,15 @@
-//! Speculative-peeling conflict study — closes the ROADMAP item
-//! "measure conflict rates on overlapping-cluster workloads and
-//! consider adaptive batch width" with numbers.
+//! Speculative-peeling conflict study: conflict rates per worker count
+//! on overlapping-cluster workloads.
 //!
 //! The workload family is the adversarial interleaved-pair chain of
 //! `tests/exec_parity.rs` with the pair separation swept from heavily
 //! overlapping read sets down to fully disjoint ones (the regime the
 //! paper varies in its Section 5 overlap/noise sweeps). For every
-//! `(separation, workers, width schedule)` cell the study runs a full
-//! peel pass, checks the clustering is byte-identical to the
-//! sequential pass (parity is the whole point of the speculation
-//! design), and records the [`alid_core::PeelStats`] telemetry:
-//! rounds, accepted / absorbed / re-run speculations, conflict rate
-//! and mean round width.
+//! `(separation, workers)` cell the study runs a full peel pass,
+//! checks the clustering is byte-identical to the sequential pass
+//! (parity is the whole point of the speculation design), and records
+//! the [`alid_core::PeelStats`] telemetry: rounds, accepted / absorbed
+//! / re-run speculations, conflict rate and mean round width.
 //!
 //! Output: an aligned table on stdout plus
 //! `experiments/BENCH_speculation.json`.
@@ -27,7 +25,7 @@ use alid_affinity::cost::CostModel;
 use alid_bench::fixtures::pair_chain;
 use alid_bench::report::fmt;
 use alid_bench::{print_table, save_json};
-use alid_core::{PeelStats, Peeler, SpeculationParams};
+use alid_core::{PeelStats, Peeler};
 use alid_exec::ExecPolicy;
 use serde::{Json, Serialize};
 
@@ -71,7 +69,6 @@ fn parse_cli() -> Cli {
 
 struct Cell {
     workers: usize,
-    adaptive: bool,
     runtime_s: f64,
     stats: PeelStats,
 }
@@ -80,7 +77,6 @@ impl Serialize for Cell {
     fn to_json(&self) -> Json {
         Json::object([
             ("workers", self.workers.to_json()),
-            ("adaptive", self.adaptive.to_json()),
             ("runtime_s", self.runtime_s.to_json()),
             ("rounds", self.stats.rounds.len().to_json()),
             ("speculated", self.stats.speculated.to_json()),
@@ -162,28 +158,23 @@ fn main() {
         let seq_runtime = seq_started.elapsed().as_secs_f64();
         let mut cells = Vec::new();
         for &workers in &worker_counts {
-            for adaptive in [true, false] {
-                let p = params
-                    .with_exec(ExecPolicy::workers(workers))
-                    .with_speculation(SpeculationParams { adaptive, initial_width: 0 });
-                let started = Instant::now();
-                let (cl, stats) = Peeler::new(&ds, p, CostModel::shared()).detect_all_with_stats();
-                let runtime_s = started.elapsed().as_secs_f64();
-                assert_parity(&seq, &cl, &format!("sep={sep} workers={workers}"));
-                rows.push(vec![
-                    format!("{sep}"),
-                    workers.to_string(),
-                    if adaptive { "adaptive".into() } else { "fixed".to_string() },
-                    stats.rounds.len().to_string(),
-                    stats.accepted.to_string(),
-                    stats.absorbed.to_string(),
-                    stats.rerun.to_string(),
-                    fmt(stats.conflict_rate()),
-                    fmt(stats.mean_width()),
-                    fmt(runtime_s),
-                ]);
-                cells.push(Cell { workers, adaptive, runtime_s, stats });
-            }
+            let p = params.with_exec(ExecPolicy::workers(workers));
+            let started = Instant::now();
+            let (cl, stats) = Peeler::new(&ds, p, CostModel::shared()).detect_all_with_stats();
+            let runtime_s = started.elapsed().as_secs_f64();
+            assert_parity(&seq, &cl, &format!("sep={sep} workers={workers}"));
+            rows.push(vec![
+                format!("{sep}"),
+                workers.to_string(),
+                stats.rounds.len().to_string(),
+                stats.accepted.to_string(),
+                stats.absorbed.to_string(),
+                stats.rerun.to_string(),
+                fmt(stats.conflict_rate()),
+                fmt(stats.mean_width()),
+                fmt(runtime_s),
+            ]);
+            cells.push(Cell { workers, runtime_s, stats });
         }
         eprintln!(
             "sep={sep}: {} clusters sequential in {:.3}s; swept {} parallel cells",
@@ -194,11 +185,10 @@ fn main() {
         workloads.push(Workload { name: format!("pairs_sep_{sep}"), sep, n: ds.len(), cells });
     }
     print_table(
-        "Speculative peeling under overlap — conflict rates and adaptive width",
+        "Speculative peeling under overlap — conflict rates per worker count",
         &[
             "sep",
             "workers",
-            "schedule",
             "rounds",
             "accepted",
             "absorbed",
@@ -211,7 +201,7 @@ fn main() {
     );
 
     let max_workers = worker_counts.iter().copied().max().unwrap_or(2);
-    let mut fields = alid_bench::report::run_header("alid-bench/speculation/2", max_workers);
+    let mut fields = alid_bench::report::run_header("alid-bench/speculation/3", max_workers);
     fields.extend([
         ("smoke", cli.smoke.to_json()),
         ("pairs", pairs.to_json()),

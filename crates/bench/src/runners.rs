@@ -16,7 +16,6 @@ use alid_baselines::common::HaltPolicy;
 use alid_baselines::iid::{iid_detect_all, IidParams};
 use alid_baselines::kmeans::{kmeans_detect_all, KmeansParams};
 use alid_baselines::meanshift::{meanshift_detect_all, MeanShiftParams};
-use alid_baselines::rd::{ds_detect_all, RdParams};
 use alid_baselines::sea::{sea_detect_all, SeaParams};
 use alid_baselines::spectral::{sc_full_detect_all, sc_nystrom_detect_all, SpectralParams};
 use alid_core::palid::{palid_detect, PalidParams};
@@ -264,21 +263,6 @@ pub fn run_iid_dense(ds: &LabeledDataset, cfg: &RunCfg) -> RunRecord {
     let clustering = iid_detect_all(&graph, &params);
     let dominant = clustering.dominant(cfg.dominant_density, cfg.dominant_min_size);
     RunRecord::finish("IID", ds, started, &cost, &dominant, Some(0.0))
-}
-
-/// Dominant Sets (replicator dynamics) on the full dense matrix.
-pub fn run_ds_dense(ds: &LabeledDataset, cfg: &RunCfg) -> RunRecord {
-    if !dense_fits(ds.len(), cfg.budget_bytes, false) {
-        return RunRecord::oom("DS", ds);
-    }
-    let cost = CostModel::shared();
-    let kernel = cfg.kernel(ds);
-    let started = Instant::now();
-    let graph = DenseAffinity::build_with(&ds.data, &kernel, Arc::clone(&cost), cfg.exec);
-    let params = RdParams { halt: cfg.halt, ..Default::default() };
-    let clustering = ds_detect_all(&graph, &params);
-    let dominant = clustering.dominant(cfg.dominant_density, cfg.dominant_min_size);
-    RunRecord::finish("DS", ds, started, &cost, &dominant, Some(0.0))
 }
 
 /// SEA on the full dense matrix.

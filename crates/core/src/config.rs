@@ -5,58 +5,6 @@ use alid_affinity::vector::Dataset;
 use alid_exec::ExecPolicy;
 use alid_lsh::LshParams;
 
-/// How the speculative parallel peeler sizes its multi-seed rounds
-/// (see `crate::peel` — only consulted when [`AlidParams::exec`] is
-/// parallel).
-///
-/// The acceptance rule is untouched by any width choice: accepted
-/// results are always exactly the clusters the sequential protocol
-/// produces, so every width schedule — fixed, adaptive, or pathological
-/// — yields byte-identical clusterings. Width only trades speculation
-/// throughput against wasted (discarded or re-run) detections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpeculationParams {
-    /// Adapt the round width to observed conflicts, AIMD-style: double
-    /// after a fully clean round (nothing discarded), halve after a
-    /// round that wasted work, always within
-    /// `[1, exec.worker_count()]`. `false` keeps the width fixed at
-    /// `initial_width` (so the default `0` restores PR 2's fixed
-    /// `width = worker_count` rounds).
-    pub adaptive: bool,
-    /// Width of the first round; `0` means "start at the policy's
-    /// worker count". Clamped to `[1, exec.worker_count()]`.
-    pub initial_width: usize,
-}
-
-impl Default for SpeculationParams {
-    /// Adaptive, starting at the full worker count.
-    fn default() -> Self {
-        Self { adaptive: true, initial_width: 0 }
-    }
-}
-
-impl SpeculationParams {
-    /// The width of the first speculative round under a policy allowing
-    /// at most `max_width` concurrent seeds.
-    pub(crate) fn start_width(&self, max_width: usize) -> usize {
-        let w = if self.initial_width == 0 { max_width } else { self.initial_width };
-        w.clamp(1, max_width)
-    }
-
-    /// The width of the next round after one that speculated `width`
-    /// seeds and discarded `wasted` of them (absorbed or re-run).
-    pub(crate) fn next_width(&self, width: usize, wasted: usize, max_width: usize) -> usize {
-        if !self.adaptive {
-            return self.start_width(max_width);
-        }
-        if wasted == 0 {
-            (width * 2).min(max_width)
-        } else {
-            (width / 2).max(1)
-        }
-    }
-}
-
 /// Parameters of Algorithm 2 and its inner steps.
 #[derive(Clone, Copy, Debug)]
 pub struct AlidParams {
@@ -91,9 +39,6 @@ pub struct AlidParams {
     /// by default; any worker count produces byte-identical output
     /// (see `Peeler::detect_all`).
     pub exec: ExecPolicy,
-    /// How speculative peeling rounds are sized when `exec` is parallel
-    /// (adaptive by default; irrelevant to the output bytes).
-    pub speculation: SpeculationParams,
 }
 
 impl AlidParams {
@@ -113,7 +58,6 @@ impl AlidParams {
             min_cluster_size: 2,
             lsh: LshParams::civs_default(half_dist, 0x5eed),
             exec: ExecPolicy::sequential(),
-            speculation: SpeculationParams::default(),
         }
     }
 
@@ -173,12 +117,6 @@ impl AlidParams {
         self.exec = exec;
         self
     }
-
-    /// Replaces the speculative-round sizing policy.
-    pub fn with_speculation(mut self, speculation: SpeculationParams) -> Self {
-        self.speculation = speculation;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -225,31 +163,6 @@ mod tests {
     fn exec_defaults_to_sequential() {
         let p = AlidParams::new(LaplacianKernel::l2(1.0));
         assert!(p.exec.is_sequential());
-    }
-
-    #[test]
-    fn speculation_defaults_adaptive_at_full_width() {
-        let p = AlidParams::new(LaplacianKernel::l2(1.0));
-        assert!(p.speculation.adaptive);
-        assert_eq!(p.speculation.start_width(8), 8);
-        let pinned = p.with_speculation(SpeculationParams { adaptive: false, initial_width: 3 });
-        assert!(!pinned.speculation.adaptive);
-        assert_eq!(pinned.speculation.start_width(8), 3);
-        // Initial width never exceeds the policy's worker count.
-        assert_eq!(pinned.speculation.start_width(2), 2);
-    }
-
-    #[test]
-    fn adaptive_width_is_aimd_within_bounds() {
-        let s = SpeculationParams::default();
-        assert_eq!(s.next_width(4, 0, 8), 8, "clean round doubles");
-        assert_eq!(s.next_width(8, 0, 8), 8, "bounded by the worker count");
-        assert_eq!(s.next_width(8, 3, 8), 4, "wasted work halves");
-        assert_eq!(s.next_width(1, 1, 8), 1, "never below one seed");
-        let fixed = SpeculationParams { adaptive: false, initial_width: 0 };
-        assert_eq!(fixed.next_width(2, 5, 8), 8, "fixed default pins the worker count");
-        let pinned = SpeculationParams { adaptive: false, initial_width: 3 };
-        assert_eq!(pinned.next_width(8, 5, 8), 3, "fixed policy pins the initial width");
     }
 
     #[test]

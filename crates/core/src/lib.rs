@@ -55,7 +55,7 @@ pub mod seeding;
 pub mod streaming;
 
 pub use alid::{detect_one, AlidOutcome};
-pub use config::{AlidParams, SpeculationParams};
+pub use config::AlidParams;
 pub use lid::{LidOutcome, LidState};
 pub use palid::{palid_detect, PalidParams};
 pub use peel::{detect_on_subset, PeelStats, Peeler, RoundStats};

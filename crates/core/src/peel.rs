@@ -13,21 +13,22 @@
 //! the index with cluster `k` already tombstoned — but detections of
 //! *well-separated* clusters never observe each other, and
 //! [`AlidOutcome::touched`](crate::alid::AlidOutcome) records exactly
-//! what each detection observed. When [`AlidParams::exec`] is parallel,
-//! [`Peeler::detect_all`] therefore speculates: it runs the next `W`
-//! seeds concurrently against the round-start index, then accepts
-//! results in seed order as long as each detection's read set is still
-//! fully alive (i.e. disjoint from everything accepted earlier in the
-//! round), falling back to re-running from the first conflicting seed.
-//! Accepted results are provably the clusters the sequential protocol
-//! would have produced, so **any worker count yields byte-identical
-//! clusterings**. Only the clustering is schedule-invariant: the
-//! shared [`CostModel`] also records the work of discarded/re-run
+//! what each detection observed. [`Peeler::detect_all`] therefore
+//! peels in rounds: it runs the next `W` seeds concurrently against the
+//! round-start index, then accepts results in seed order as long as
+//! each detection's read set is still fully alive (i.e. disjoint from
+//! everything accepted earlier in the round), falling back to
+//! re-running from the first conflicting seed. Accepted results are
+//! provably the clusters the sequential protocol would have produced,
+//! so **any worker count yields byte-identical clusterings**. A single
+//! worker runs width-1 rounds through the same loop, which is exactly
+//! the sequential protocol. Only the clustering is schedule-invariant:
+//! the shared [`CostModel`] also records the work of discarded/re-run
 //! speculations, and `W` concurrent detections raise the live-entries
 //! peak — cost-measured harnesses comparing growth orders should keep
 //! the sequential policy (the default).
 //!
-//! # Adaptive round width
+//! # Round width
 //!
 //! A fixed `W = worker_count` wastes whole rounds on overlapping
 //! clusters (every speculation past the first conflicts or is
@@ -35,9 +36,9 @@
 //! acceptance rule is width-agnostic — any prefix of the alive-seed
 //! sequence speculated together commits the same accepted clusters —
 //! the round width is free to track the observed conflict structure.
-//! [`SpeculationParams`] (default: adaptive) applies AIMD: a fully
-//! clean round doubles the width, a round with discarded work (an
-//! absorbed seed or a conflict re-run) halves it, always within
+//! The first round runs at the worker count; after that the width is
+//! AIMD: a fully clean round doubles it, a round with discarded work
+//! (an absorbed seed or a conflict re-run) halves it, always within
 //! `[1, worker_count]`. Every round is recorded in [`PeelStats`]
 //! (speculated / accepted / absorbed / re-run per round), surfaced via
 //! [`Peeler::detect_all_with_stats`] and
@@ -52,7 +53,7 @@ use alid_affinity::vector::Dataset;
 use alid_lsh::LshIndex;
 
 use crate::alid::detect_one;
-use crate::config::{AlidParams, SpeculationParams};
+use crate::config::AlidParams;
 
 /// Telemetry of one speculative peeling round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,14 +80,13 @@ impl RoundStats {
 
 /// Conflict telemetry of one or more peel passes.
 ///
-/// Totals cover sequential passes too (each sequential detection is
-/// one speculated-and-accepted seed); `rounds` records only the
-/// speculative multi-seed rounds a parallel policy ran, in order.
-/// The telemetry is a *byproduct* of the schedule and — unlike the
-/// clustering — not worker-count invariant.
+/// `rounds` records every round a pass ran, in order; a single-worker
+/// pass runs one width-1 round per detection, so it speculates
+/// exactly what it accepts. The telemetry is a *byproduct* of the
+/// schedule and — unlike the clustering — not worker-count invariant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PeelStats {
-    /// Per-round telemetry of every speculative round, in order.
+    /// Per-round telemetry of every round, in order.
     pub rounds: Vec<RoundStats>,
     /// Total seeds whose detection was launched.
     pub speculated: u64,
@@ -99,13 +99,12 @@ pub struct PeelStats {
 }
 
 impl PeelStats {
-    /// Speculative rounds that hit at least one conflict re-run.
+    /// Rounds that hit at least one conflict re-run.
     pub fn conflict_rounds(&self) -> usize {
         self.rounds.iter().filter(|r| r.rerun > 0).count()
     }
 
-    /// Fraction of speculative rounds with a conflict (0.0 when no
-    /// speculative round ran).
+    /// Fraction of rounds with a conflict (0.0 when no round ran).
     pub fn conflict_rate(&self) -> f64 {
         if self.rounds.is_empty() {
             0.0
@@ -119,8 +118,7 @@ impl PeelStats {
         self.absorbed + self.rerun
     }
 
-    /// Mean speculative round width (0.0 when no speculative round
-    /// ran).
+    /// Mean round width (0.0 when no round ran).
     pub fn mean_width(&self) -> f64 {
         if self.rounds.is_empty() {
             0.0
@@ -152,14 +150,6 @@ impl PeelStats {
         self.rerun += round.rerun as u64;
         self.rounds.push(round);
     }
-
-    fn record_sequential(&mut self, detections: u64) {
-        let m = obs_metrics();
-        m.speculated.add(detections);
-        m.accepted.add(detections);
-        self.speculated += detections;
-        self.accepted += detections;
-    }
 }
 
 /// Process-wide write-only peel telemetry — the cross-pass aggregate
@@ -181,12 +171,12 @@ fn obs_metrics() -> &'static PeelMetrics {
         PeelMetrics {
             rounds: r.counter(
                 "alid_peel_rounds_total",
-                "Speculative multi-seed peel rounds run",
+                "Peel rounds run (one width-1 round per detection under a single worker)",
                 &[],
             ),
             speculated: r.counter(
                 "alid_peel_speculated_total",
-                "Seeds whose detection was launched (sequential or speculative)",
+                "Seeds whose detection was launched",
                 &[],
             ),
             accepted: r.counter(
@@ -209,53 +199,33 @@ fn obs_metrics() -> &'static PeelMetrics {
 }
 
 /// One full detect-and-peel pass over the alive items of an existing
-/// index, honouring `params.exec` (sequential scan or speculative
-/// multi-seed rounds — see the module docs) and `params.speculation`
-/// (round-width schedule). Seeds scan ascending from `from`; every
-/// detection peels its members plus its seed; the pass stops early
-/// once `limit` detections are committed. Returns `(seed, cluster)`
-/// pairs in detection order — for any worker count and width schedule,
-/// exactly the pairs (and, under a `limit`, exactly the prefix) the
+/// index, in rounds of concurrent seeds on `params.exec` (see the
+/// module docs). Seeds scan ascending from `from`; every detection
+/// peels its members plus its seed. Returns `(seed, cluster)` pairs in
+/// detection order — for any worker count, exactly the pairs the
 /// sequential protocol produces. Round telemetry accumulates into
 /// `stats`.
 ///
-/// Shared by [`Peeler::detect_all`] / [`Peeler::detect_up_to`] (fresh
-/// index over a batch) and `StreamingAlid::sweep` (the streaming index
-/// with attached items tombstoned), so all drivers ride the same
-/// speculative path. Peeled items are tombstoned and never leave the
-/// bucket lists, so the index keeps its whole hash-table memory for as
-/// long as it lives.
+/// Shared by [`Peeler::detect_all`] (fresh index over a batch),
+/// [`detect_on_subset`] and `StreamingAlid::sweep` (the streaming
+/// index with attached items tombstoned), so all drivers ride the same
+/// path. Peeled items are tombstoned and never leave the bucket lists,
+/// so the index keeps its whole hash-table memory for as long as it
+/// lives.
 pub(crate) fn peel_pass(
     ds: &Dataset,
     params: &AlidParams,
     index: &mut LshIndex,
     cost: &Arc<CostModel>,
     from: u32,
-    limit: Option<usize>,
     stats: &mut PeelStats,
 ) -> Vec<(u32, DetectedCluster)> {
     let n = ds.len() as u32;
-    let limit = limit.unwrap_or(usize::MAX);
+    let max_width = params.exec.worker_count();
+    let mut width = max_width;
     let mut next_seed = from;
     let mut detections = Vec::new();
-    if params.exec.is_sequential() {
-        while detections.len() < limit {
-            let Some(seed) = next_alive_from(index, &mut next_seed, n) else { break };
-            let out = detect_one(ds, params, index, seed, cost);
-            peel(index, seed, &out.cluster.members);
-            detections.push((seed, out.cluster));
-        }
-        stats.record_sequential(detections.len() as u64);
-        return detections;
-    }
-    let spec: SpeculationParams = params.speculation;
-    let max_width = params.exec.worker_count();
-    let mut width = spec.start_width(max_width);
-    while detections.len() < limit {
-        // Never speculate past the detection budget: the trailing
-        // speculations could only be thrown away.
-        let want = width.min(limit - detections.len());
-        let Some(seeds) = next_alive_batch_from(index, &mut next_seed, n, want) else { break };
+    while let Some(seeds) = next_alive_batch_from(index, &mut next_seed, n, width) {
         let mut round_span = alid_obs::trace::span("peel.round");
         round_span.count("width", seeds.len() as u64);
         let outcomes = params.exec.map_tasks(&seeds, |&s| detect_one(ds, params, index, s, cost));
@@ -301,7 +271,7 @@ pub(crate) fn peel_pass(
             round.accepted += 1;
         }
         next_seed = resume.unwrap_or_else(|| seeds.last().map(|&s| s + 1).unwrap_or(next_seed));
-        width = spec.next_width(seeds.len(), round.wasted(), max_width);
+        width = next_width(seeds.len(), round.wasted(), max_width);
         round_span.count("accepted", round.accepted as u64);
         round_span.count("absorbed", round.absorbed as u64);
         round_span.count("rerun", round.rerun as u64);
@@ -309,6 +279,18 @@ pub(crate) fn peel_pass(
         stats.record_round(round);
     }
     detections
+}
+
+/// The width of the next round after one that speculated `width`
+/// seeds and discarded `wasted` of them (absorbed or re-run): double
+/// after a clean round, halve after a wasteful one, always within
+/// `[1, max_width]`.
+fn next_width(width: usize, wasted: usize, max_width: usize) -> usize {
+    if wasted == 0 {
+        (width * 2).min(max_width)
+    } else {
+        (width / 2).max(1)
+    }
 }
 
 /// Tombstones one detection's support plus its seed. The dynamics may
@@ -332,8 +314,7 @@ fn peel(index: &mut LshIndex, seed: u32, members: &[u32]) {
 /// rows are compacted into a private [`Dataset`], a fresh LSH index is
 /// built over them with `params.lsh`, and the shared `peel_pass`
 /// runs to exhaustion — the same LID/ROI/CIVS machinery, honouring
-/// `params.exec` (speculative multi-seed rounds under a parallel
-/// policy, byte-identical to sequential for any worker count).
+/// `params.exec` (byte-identical for any worker count).
 /// Returned clusters carry members mapped **back into `ds`'s id
 /// space**, ascending; the caller applies the dominance filter, as
 /// with [`Peeler::detect_all`].
@@ -365,7 +346,7 @@ pub fn detect_on_subset(
     let sub = ds.subset(&rows);
     let mut index = LshIndex::build(&sub, params.lsh, cost);
     let mut stats = PeelStats::default();
-    let detections = peel_pass(&sub, params, &mut index, cost, 0, None, &mut stats);
+    let detections = peel_pass(&sub, params, &mut index, cost, 0, &mut stats);
     detections
         .into_iter()
         .map(|(_seed, mut cluster)| {
@@ -462,25 +443,8 @@ impl<'a> Peeler<'a> {
 
     /// [`Self::detect_all`] plus the pass's conflict telemetry. The
     /// clustering is worker-count invariant; the [`PeelStats`] are a
-    /// property of the schedule that ran (sequential passes report
-    /// totals only, no rounds).
-    pub fn detect_all_with_stats(self) -> (Clustering, PeelStats) {
-        self.detect_up_to_with_stats(usize::MAX)
-    }
-
-    /// Like [`Self::detect_all`] but stops after `max_clusters`
-    /// detections (useful when only the top clusters matter).
-    ///
-    /// Honours `params.exec` exactly like [`Self::detect_all`]: a
-    /// parallel policy runs capped speculative rounds whose committed
-    /// prefix is byte-identical to the sequential pass's first
-    /// `max_clusters` detections.
-    pub fn detect_up_to(self, max_clusters: usize) -> Clustering {
-        self.detect_up_to_with_stats(max_clusters).0
-    }
-
-    /// [`Self::detect_up_to`] plus the pass's conflict telemetry.
-    pub fn detect_up_to_with_stats(mut self, max_clusters: usize) -> (Clustering, PeelStats) {
+    /// property of the schedule that ran.
+    pub fn detect_all_with_stats(mut self) -> (Clustering, PeelStats) {
         let mut stats = PeelStats::default();
         let mut clustering = Clustering::new(self.ds.len());
         let detections = peel_pass(
@@ -489,7 +453,6 @@ impl<'a> Peeler<'a> {
             &mut self.index,
             &self.cost,
             self.next_seed,
-            Some(max_clusters),
             &mut stats,
         );
         clustering.clusters.extend(detections.into_iter().map(|(_seed, cluster)| cluster));
@@ -567,59 +530,28 @@ mod tests {
     }
 
     #[test]
-    fn detect_up_to_limits_work() {
-        let ds = fixture();
-        let clustering = Peeler::new(&ds, params(&ds), CostModel::shared()).detect_up_to(1);
-        assert_eq!(clustering.len(), 1);
-    }
-
-    /// Regression for the satellite bugfix: `detect_up_to` used to
-    /// silently ignore a parallel `params.exec` and always run the
-    /// sequential loop. It must now honour the policy *and* stay
-    /// byte-identical to the sequential prefix at every cap below the
-    /// total cluster count.
-    #[test]
-    fn detect_up_to_honours_parallel_exec_and_matches_sequential_prefix() {
-        let ds = fixture();
-        let all = Peeler::new(&ds, params(&ds), CostModel::shared()).detect_all();
-        assert!(all.len() > 2, "fixture must produce several clusters");
-        for max in 1..all.len() {
-            let seq = Peeler::new(&ds, params(&ds), CostModel::shared()).detect_up_to(max);
-            assert_eq!(seq.len(), max);
-            for (a, b) in all.clusters.iter().zip(&seq.clusters) {
-                assert_eq!(a.members, b.members, "sequential cap {max} is not a prefix");
-            }
-            for workers in [2usize, 4, 8] {
-                let p = params(&ds).with_exec(alid_exec::ExecPolicy::workers(workers));
-                let (par, stats) =
-                    Peeler::new(&ds, p, CostModel::shared()).detect_up_to_with_stats(max);
-                assert_eq!(par.clusters.len(), max, "{workers} workers, cap {max}");
-                assert!(
-                    stats.accepted == max as u64 && !stats.rounds.is_empty(),
-                    "{workers} workers must run speculative rounds, got {stats:?}"
-                );
-                for (a, b) in seq.clusters.iter().zip(&par.clusters) {
-                    assert_eq!(a.members, b.members, "{workers} workers, cap {max}");
-                    let aw: Vec<u64> = a.weights.iter().map(|w| w.to_bits()).collect();
-                    let bw: Vec<u64> = b.weights.iter().map(|w| w.to_bits()).collect();
-                    assert_eq!(aw, bw, "{workers} workers, cap {max}");
-                    assert_eq!(a.density.to_bits(), b.density.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stats_are_consistent_and_sequential_pass_reports_no_rounds() {
+    fn stats_are_consistent_and_sequential_pass_runs_width_one_rounds() {
         let ds = fixture();
         let (clustering, stats) =
             Peeler::new(&ds, params(&ds), CostModel::shared()).detect_all_with_stats();
-        assert!(stats.rounds.is_empty(), "sequential pass must not record rounds");
+        assert_eq!(stats.rounds.len(), clustering.len(), "one round per detection");
+        for r in &stats.rounds {
+            assert_eq!(*r, RoundStats { speculated: 1, accepted: 1, absorbed: 0, rerun: 0 });
+        }
         assert_eq!(stats.accepted, clustering.len() as u64);
         assert_eq!(stats.speculated, stats.accepted);
         assert_eq!(stats.wasted(), 0);
         assert_eq!(stats.conflict_rate(), 0.0);
-        assert_eq!(stats.mean_width(), 0.0);
+        assert_eq!(stats.mean_width(), 1.0);
+    }
+
+    #[test]
+    fn round_width_is_aimd_within_bounds() {
+        assert_eq!(next_width(4, 0, 8), 8, "clean round doubles");
+        assert_eq!(next_width(8, 0, 8), 8, "bounded by the worker count");
+        assert_eq!(next_width(8, 3, 8), 4, "wasted work halves");
+        assert_eq!(next_width(1, 1, 8), 1, "never below one seed");
+        assert_eq!(next_width(1, 0, 1), 1, "a single worker stays at width 1");
     }
 
     #[test]
@@ -639,27 +571,6 @@ mod tests {
             for r in &stats.rounds {
                 assert!(r.speculated >= 1 && r.speculated <= workers, "{workers} workers: {r:?}");
                 assert_eq!(r.speculated, r.accepted + r.absorbed + r.rerun, "{r:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn any_width_schedule_is_byte_identical() {
-        let ds = fixture();
-        let sequential = Peeler::new(&ds, params(&ds), CostModel::shared()).detect_all();
-        let schedules = [
-            crate::config::SpeculationParams { adaptive: true, initial_width: 0 },
-            crate::config::SpeculationParams { adaptive: true, initial_width: 1 },
-            crate::config::SpeculationParams { adaptive: false, initial_width: 0 },
-            crate::config::SpeculationParams { adaptive: false, initial_width: 3 },
-        ];
-        for spec in schedules {
-            let p = params(&ds).with_exec(alid_exec::ExecPolicy::workers(4)).with_speculation(spec);
-            let parallel = Peeler::new(&ds, p, CostModel::shared()).detect_all();
-            assert_eq!(sequential.clusters.len(), parallel.clusters.len(), "{spec:?}");
-            for (a, b) in sequential.clusters.iter().zip(&parallel.clusters) {
-                assert_eq!(a.members, b.members, "{spec:?} changed members");
-                assert_eq!(a.density.to_bits(), b.density.to_bits(), "{spec:?}");
             }
         }
     }

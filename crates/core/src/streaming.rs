@@ -256,7 +256,7 @@ impl StreamingAlid {
         })
     }
 
-    /// Most recent speculative rounds retained in
+    /// Most recent peel rounds retained in
     /// [`Self::peel_stats`]'s per-round history (totals are never
     /// trimmed) — keeps a long-lived stream's telemetry bounded.
     pub const MAX_STATS_ROUNDS: usize = 256;
@@ -432,8 +432,8 @@ impl StreamingAlid {
         // Restrict detection to the residue: tombstone assigned items.
         // The alive set is then exactly the pending buffer (every item
         // is either assigned or pending), so the shared peel pass —
-        // lowest alive seed, detect, peel, repeat, speculative
-        // multi-seed rounds when `params.exec` is parallel — visits
+        // lowest alive seed, detect, peel, repeat, in rounds of
+        // concurrent seeds on `params.exec` — visits
         // precisely the seeds the old per-buffer loop did, in the same
         // order, for any worker count.
         for (i, a) in self.assigned.iter().enumerate() {
@@ -444,15 +444,8 @@ impl StreamingAlid {
         self.pending.clear();
         // These tombstones are transient: restore_all below revives the
         // assigned items so future attachment queries still find them.
-        let detections = peel_pass(
-            &self.data,
-            &self.params,
-            &mut self.index,
-            &self.cost,
-            0,
-            None,
-            &mut self.stats,
-        );
+        let detections =
+            peel_pass(&self.data, &self.params, &mut self.index, &self.cost, 0, &mut self.stats);
         // The stream is unbounded; keep the per-round history a
         // bounded window (totals keep accumulating forever).
         self.stats.trim_rounds(Self::MAX_STATS_ROUNDS);
@@ -726,7 +719,12 @@ mod tests {
             s.peel_stats().speculated > after_first,
             "later sweeps keep accumulating into the same stats"
         );
-        assert_eq!(s.peel_stats().rounds.len(), 0, "sequential sweeps record no rounds");
+        let stats = s.peel_stats();
+        assert_eq!(stats.rounds.len() as u64, stats.speculated, "one round per detection");
+        assert!(
+            stats.rounds.iter().all(|r| r.speculated == 1 && r.wasted() == 0),
+            "sequential sweeps run width-1 rounds that waste nothing: {stats:?}"
+        );
     }
 
     #[test]

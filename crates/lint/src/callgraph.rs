@@ -965,8 +965,10 @@ pub fn matching_open(t: &[Tok], close: usize) -> usize {
 }
 
 /// Argument count of the call whose `(` sits at `open`: top-level
-/// commas + 1 (0 for empty). Commas inside closure parameter pipes are
-/// skipped.
+/// commas + 1 (0 for empty), less a trailing comma — rustfmt puts one
+/// after the last argument of every call it wraps one per line, and
+/// `signature` likewise drops the empty tail segment of a
+/// declaration. Commas inside closure parameter pipes are skipped.
 pub fn count_args(t: &[Tok], open: usize) -> usize {
     let close = matching_close(t, open);
     if close <= open + 1 {
@@ -984,7 +986,8 @@ pub fn count_args(t: &[Tok], open: usize) -> usize {
             _ => {}
         }
     }
-    commas + 1
+    let trailing = scan::is(&t[close - 1], ",");
+    commas + 1 - usize::from(trailing)
 }
 
 #[cfg(test)]
@@ -1034,6 +1037,19 @@ mod tests {
         let edges = g.edges(g.find("go").unwrap());
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].0, "A::f");
+    }
+
+    #[test]
+    fn wrapped_call_with_a_trailing_comma_resolves() {
+        let us = units(&[(
+            "a.rs",
+            "fn callee(a: u32, b: u32) {}\n\
+             fn go() {\n    callee(\n        1,\n        2,\n    );\n}",
+        )]);
+        let g = Graph::build(&us);
+        let edges = g.edges(g.find("go").unwrap());
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        assert_eq!(edges[0].0, "callee");
     }
 
     #[test]

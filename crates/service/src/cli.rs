@@ -37,11 +37,6 @@ pub fn usage() -> &'static str {
                                them into the snapshot once they accumulate\n\
                                (default 8388608 = 8 MiB; 0 disables both,\n\
                                POST /snapshot still compacts explicitly)\n\
-       --merge-sample <n>      support-sample bound of the merged view's\n\
-                               affinity test (GET /clusters?view=merged;\n\
-                               default 8)\n\
-       --merge-radius <r>      signature Hamming radius for merged-view\n\
-                               candidate pairs (default 2, max 4)\n\
        --trace-out <path>      enable phase tracing and append span events\n\
                                to this file as JSONL (drained once per\n\
                                second; telemetry only, outputs unchanged)\n\
@@ -82,8 +77,6 @@ struct ServeOptions {
     seed: u64,
     router_bits: usize,
     router_seed: u64,
-    merge_sample: usize,
-    merge_radius: u32,
     trace_out: Option<PathBuf>,
 }
 
@@ -108,8 +101,6 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
         seed: 42,
         router_bits: 16,
         router_seed: 0xa11d,
-        merge_sample: 8,
-        merge_radius: 2,
         trace_out: None,
     };
     let mut it = args.iter();
@@ -160,16 +151,6 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
                 o.router_bits = parse_usize("--router-bits", take("--router-bits")?)?
             }
             "--router-seed" => o.router_seed = parse_seed("--router-seed", take("--router-seed")?)?,
-            "--merge-sample" => {
-                o.merge_sample = parse_usize("--merge-sample", take("--merge-sample")?)?
-            }
-            "--merge-radius" => {
-                let r = parse_usize("--merge-radius", take("--merge-radius")?)?;
-                if r > 4 {
-                    return Err(format!("--merge-radius must be at most 4, got {r}"));
-                }
-                o.merge_radius = r as u32;
-            }
             "--trace-out" => o.trace_out = Some(PathBuf::from(take("--trace-out")?)),
             other => return Err(format!("unknown option {other}\n\n{}", usage())),
         }
@@ -179,9 +160,6 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
     }
     if o.dim == Some(0) {
         return Err("--dim must be positive".into());
-    }
-    if o.merge_sample == 0 {
-        return Err("--merge-sample must be positive".into());
     }
     if !(1..=64).contains(&o.router_bits) {
         return Err(format!("--router-bits must be in 1..=64, got {}", o.router_bits));
@@ -229,12 +207,10 @@ fn fresh_service(o: &ServeOptions, exec: ExecPolicy) -> Result<Service, String> 
     params.density_threshold = o.min_density;
     params.min_cluster_size = o.min_size;
     params.lsh.seed = o.seed;
-    params.exec = exec;
     let mut cfg = ServiceConfig::new(dim, o.shards, params)
         .with_batch(o.batch)
         .with_queue_capacity(o.queue)
         .with_exec(exec);
-    cfg = cfg.with_merge_sample(o.merge_sample).with_merge_radius(o.merge_radius);
     cfg.router_bits = o.router_bits;
     cfg.router_seed = o.router_seed;
     Ok(Service::new(cfg))
@@ -263,11 +239,6 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
         }
         _ => (fresh_service(&o, exec)?, snapshot::SnapshotMeta::default()),
     };
-    // Like `exec`, the merge knobs are runtime choices a snapshot
-    // does not carry — apply the flags on both paths so
-    // `--merge-sample`/`--merge-radius` are honoured after a restore
-    // too.
-    service.set_merge_knobs(o.merge_sample, o.merge_radius);
     if let Some(dir) = &o.journal {
         // Replay any frames past the snapshot's cut through the
         // deterministic insert path, then attach the live journal so
@@ -300,7 +271,7 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
         cfg.dim,
         cfg.batch,
         cfg.queue_capacity,
-        cfg.exec.worker_count()
+        cfg.params.exec.worker_count()
     );
     let server = http::start(
         Arc::new(service),
@@ -374,33 +345,6 @@ mod tests {
         assert!(parse(&args(&["--dim", "0"])).unwrap_err().contains("--dim"));
         assert!(parse(&args(&["--router-bits", "0"])).unwrap_err().contains("--router-bits"));
         assert!(parse(&args(&["--router-bits", "65"])).unwrap_err().contains("--router-bits"));
-    }
-
-    #[test]
-    fn merge_knobs_parse_and_validate() {
-        let o = parse(&args(&["--merge-sample", "16", "--merge-radius", "1"])).unwrap();
-        assert_eq!(o.merge_sample, 16);
-        assert_eq!(o.merge_radius, 1);
-        let o = parse(&args(&[
-            "--dim",
-            "2",
-            "--scale",
-            "0.5",
-            "--merge-sample",
-            "3",
-            "--merge-radius",
-            "0",
-        ]))
-        .unwrap();
-        let svc = fresh_service(&o, ExecPolicy::sequential()).unwrap();
-        assert_eq!(svc.config().merge_sample, 3);
-        assert_eq!(svc.config().merge_radius, 0);
-        assert!(parse(&args(&["--merge-sample", "0"])).unwrap_err().contains("--merge-sample"));
-        assert!(parse(&args(&["--merge-radius", "5"])).unwrap_err().contains("--merge-radius"));
-        // Oversized values must error, not truncate into range.
-        assert!(parse(&args(&["--merge-radius", "4294967296"]))
-            .unwrap_err()
-            .contains("--merge-radius"));
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! 1. **Cut** (`Service::reduce_cut`): under all shard locks + the
 //!    placement lock — the snapshot codec's consistent-cut discipline
 //!    — every shard-local cluster becomes a `FragmentCut`: global
-//!    member ids, density, its [`MergeEvidence`] (centroid + bounded
-//!    support sample) and the router signature of its centroid.
+//!    member ids, density, its [`MergeEvidence`] (centroid + support
+//!    sample of at most [`MERGE_SAMPLE`]) and the router signature of
+//!    its centroid.
 //! 2. **Candidate generation** (`candidate_groups`): fragments of a
 //!    straddling cluster have near-identical centroid signatures *by
 //!    construction* (their centroids nearly coincide, so at most the
 //!    straddled planes separate them), so candidate pairs come from
-//!    signature buckets probed within a small Hamming radius —
+//!    signature buckets probed within Hamming radius [`MERGE_RADIUS`] —
 //!    `O(fragments · probes)`, never an all-pairs scan. Only
 //!    cross-shard pairs qualify: two clusters on one shard were
 //!    separated by the dynamics *with both visible*, and re-merging
@@ -61,6 +62,18 @@ use alid_lsh::ShardRouter;
 use serde::{Json, Serialize};
 
 use crate::service::ClusterRef;
+
+/// Per-fragment support-sample bound of the merged view's affinity
+/// test: testing one candidate pair costs `O(MERGE_SAMPLE² · dim)`.
+pub const MERGE_SAMPLE: usize = 8;
+
+/// Signature Hamming radius of candidate-pair generation: fragments
+/// whose centroid signatures differ in more than this many routing
+/// hyperplanes are never considered for joining. Radius 2 covers
+/// clusters straddling up to two hyperplanes at
+/// `Σ_{r<=2} C(router_bits, r)` probes per fragment; the cut clamps it
+/// to the router's width.
+pub const MERGE_RADIUS: u32 = 2;
 
 /// One cluster of the merged view: either a raw shard-local cluster
 /// that survived the reduction untouched, or the union re-detection
@@ -211,7 +224,10 @@ pub(crate) fn candidate_groups(
 ) -> (Vec<Vec<usize>>, usize, usize) {
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     for (i, f) in fragments.iter().enumerate() {
-        buckets.entry(f.signature).or_default().push(i);
+        // Typed so the call graph resolves `push` to `Vec`, not to
+        // every same-name workspace method.
+        let bucket: &mut Vec<usize> = buckets.entry(f.signature).or_default();
+        bucket.push(i);
     }
     // Each unordered pair is generated exactly once (from its smaller
     // index); sorting makes the union-find link order canonical.
@@ -242,7 +258,8 @@ pub(crate) fn candidate_groups(
     let mut grouped: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for i in 0..fragments.len() {
         let root = find(&mut parent, i);
-        grouped.entry(root).or_default().push(i); // ascending: i ascends
+        let group: &mut Vec<usize> = grouped.entry(root).or_default();
+        group.push(i); // ascending: i ascends
     }
     let mut groups: Vec<Vec<usize>> = grouped.into_values().filter(|g| g.len() >= 2).collect();
     groups.sort_by_key(|g| g[0]);

@@ -34,22 +34,11 @@ pub struct ServiceConfig {
     /// Seed of the routing hyperplanes. Independent of `params.lsh.seed`
     /// so re-seeding detection never silently re-partitions the stream.
     pub router_seed: u64,
-    /// Detection parameters handed to every shard.
+    /// Detection parameters handed to every shard. `params.exec` is
+    /// the service's one execution policy: drains and forced sweeps
+    /// fan out across shards on it, and each shard's sweep peels on
+    /// it.
     pub params: AlidParams,
-    /// Execution policy for the service's own fan-out phases (the
-    /// cross-shard drain). Shard-internal sweeps follow `params.exec`.
-    pub exec: ExecPolicy,
-    /// Per-fragment support-sample bound for the merged view's
-    /// affinity test (see [`Service::merged_view`]); testing one
-    /// candidate pair costs `O(merge_sample² · dim)`.
-    pub merge_sample: usize,
-    /// Signature Hamming radius for the merged view's candidate-pair
-    /// generation: fragments whose centroid signatures differ in more
-    /// than this many routing hyperplanes are never considered for
-    /// joining. Radius 2 covers clusters straddling up to two
-    /// hyperplanes at `Σ_{r<=2} C(router_bits, r)` probes per
-    /// fragment.
-    pub merge_radius: u32,
 }
 
 impl ServiceConfig {
@@ -69,9 +58,6 @@ impl ServiceConfig {
             router_bits: 16,
             router_seed: 0xa11d,
             params,
-            exec: ExecPolicy::sequential(),
-            merge_sample: 8,
-            merge_radius: 2,
         }
     }
 
@@ -95,30 +81,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Replaces the service-level execution policy.
+    /// Replaces the execution policy (`params.exec`).
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Replaces the merged view's support-sample bound.
-    ///
-    /// # Panics
-    /// Panics if `merge_sample == 0`.
-    pub fn with_merge_sample(mut self, merge_sample: usize) -> Self {
-        assert!(merge_sample >= 1, "merge sample bound must be positive");
-        self.merge_sample = merge_sample;
-        self
-    }
-
-    /// Replaces the merged view's candidate-signature radius.
-    ///
-    /// # Panics
-    /// Panics if `merge_radius > 4` (the probe count explodes
-    /// combinatorially past that).
-    pub fn with_merge_radius(mut self, merge_radius: u32) -> Self {
-        assert!(merge_radius <= 4, "merge radius above 4 explodes combinatorially");
-        self.merge_radius = merge_radius;
+        self.params.exec = exec;
         self
     }
 }
@@ -369,10 +334,9 @@ pub struct Service {
     placements: Mutex<Vec<Placement>>,
     cost: Arc<CostModel>,
     /// Bumped after every state mutation that can change the merged
-    /// view (a drain that applied something, any sweep, a merge-knob
-    /// change); the merged-view cache is keyed on it. Plain admission
-    /// never bumps — queued items are invisible to the reduction
-    /// until applied. Mutations bump *after* they complete, so a
+    /// view (a drain that applied something, any sweep); the
+    /// merged-view cache is keyed on it. Plain admission never bumps —
+    /// queued items are invisible to the reduction until applied. Mutations bump *after* they complete, so a
     /// cached view can be tagged older than the state it reflects (a
     /// harmless recompute) but never newer (a stale hit).
     epoch: AtomicU64,
@@ -458,24 +422,6 @@ impl Service {
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
-    }
-
-    /// Re-applies the query-time merge knobs (see
-    /// [`ServiceConfig::merge_sample`] / [`ServiceConfig::merge_radius`]).
-    /// Snapshots deliberately do not persist these — they configure
-    /// the reducer, not shard state — so `alid serve` calls this
-    /// after a restore to honour the operator's flags. Invalidates
-    /// the merged-view cache: the next query reduces under the new
-    /// knobs.
-    ///
-    /// # Panics
-    /// Panics if `merge_sample == 0` or `merge_radius > 4`.
-    pub fn set_merge_knobs(&mut self, merge_sample: usize, merge_radius: u32) {
-        assert!(merge_sample >= 1, "merge sample bound must be positive");
-        assert!(merge_radius <= 4, "merge radius above 4 explodes combinatorially");
-        self.cfg.merge_sample = merge_sample;
-        self.cfg.merge_radius = merge_radius;
-        self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Attaches the durability journal. Call *after*
@@ -603,18 +549,18 @@ impl Service {
     }
 
     /// Applies every queued item to its shard, fanning out across
-    /// shards on the configured [`ServiceConfig::exec`] policy (this
-    /// is where server threads reuse the shared exec pool). Per-shard
-    /// application is strictly FIFO, so the outcome is byte-identical
-    /// for any worker count.
+    /// shards on `params.exec` (this is where server threads reuse the
+    /// shared exec pool). Per-shard application is strictly FIFO, so
+    /// the outcome is byte-identical for any worker count.
     pub fn drain(&self) -> DrainReport {
         self.obs.drains.inc();
         let _drain_timer = self.obs.drain_seconds.start_timer();
-        let reports = self.cfg.exec.map_indexed(self.shards.len(), |s| {
+        let reports = self.cfg.params.exec.map_indexed(self.shards.len(), |s| {
             let mut shard = self.shard(s);
             let mut report = DrainReport::default();
             while let Some(v) = shard.queue.pop_front() {
                 report.applied += 1;
+                // alid-lint: allow(exec-under-lock) -- the sweep this may trigger runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
                 // alid-lint: allow(panic-under-lock) -- queued vectors were dim-checked at ingest admission; push's dim assert cannot fire here
                 match shard.stream.push(&v) {
                     StreamUpdate::Attached(_) => report.attached += 1,
@@ -654,9 +600,11 @@ impl Service {
         self.obs.sweeps.inc();
         let promoted = self
             .cfg
+            .params
             .exec
             .map_indexed(self.shards.len(), |s| {
                 let mut shard = self.shard(s);
+                // alid-lint: allow(exec-under-lock) -- the sweep runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
                 // alid-lint: allow(panic-under-lock) -- sweep's asserts are internal invariants over ingest-validated data; a failure means corrupted shard state, where fail-fast poisoning beats serving wrong clusters
                 let promoted = shard.stream.sweep();
                 if let Some(journal) = &self.journal {
@@ -698,6 +646,7 @@ impl Service {
                 ));
             };
             applied += 1;
+            // alid-lint: allow(exec-under-lock) -- same nested peel phase as the live drain above; a phase waiter helps only its own phase's jobs, so it cannot deadlock
             // alid-lint: allow(panic-under-lock) -- replayed vectors were dim-checked when their admit frame decoded; push's dim assert cannot fire here
             let _ = shard.stream.push(&v);
         }
@@ -719,6 +668,7 @@ impl Service {
                 shard.stream.len()
             ));
         }
+        // alid-lint: allow(exec-under-lock) -- same nested peel phase as the live sweep above; a phase waiter helps only its own phase's jobs, so it cannot deadlock
         // alid-lint: allow(panic-under-lock) -- same internal-invariant asserts as the live sweep path above
         let promoted = shard.stream.sweep();
         drop(shard);
@@ -934,8 +884,8 @@ impl Service {
         let mut fragments = Vec::new();
         for (s, guard) in shards.iter().enumerate() {
             for (c, cluster) in guard.stream.clusters().iter().enumerate() {
-                // alid-lint: allow(panic-under-lock) -- merge_sample is asserted positive at construction and in set_merge_knobs; the sample-cap assert cannot fire
-                let evidence = guard.stream.merge_evidence(c, self.cfg.merge_sample);
+                // alid-lint: allow(panic-under-lock) -- MERGE_SAMPLE is a positive constant; the sample-cap assert cannot fire
+                let evidence = guard.stream.merge_evidence(c, reduce::MERGE_SAMPLE);
                 let members: Vec<u64> =
                     cluster.members.iter().map(|&m| rev[s][m as usize]).collect();
                 fragments.push(FragmentCut {
@@ -953,7 +903,9 @@ impl Service {
         // lock, poisoning the whole service — so narrow routers clamp
         // it (probing the full Hamming ball of a 1-bit signature is
         // already exhaustive).
-        let radius = self.cfg.merge_radius.min(self.cfg.router_bits as u32);
+        let radius = reduce::MERGE_RADIUS.min(self.cfg.router_bits as u32);
+        // alid-lint: allow(panic-under-lock) -- probe_signatures asserts radius <= 4 and <= router bits, and the radius is MERGE_RADIUS = 2 clamped to router_bits just above; the block kernel's dim asserts cannot fire, as every centroid and sample row comes from a shard dataset of cfg.dim
+        // alid-lint: allow(lock-cycle) -- name merge: the untyped `g.len()` in candidate_groups' group filter resolves to Service::len as well; candidate_groups takes no lock
         let (groups, pairs_tested, pairs_linked) = reduce::candidate_groups(
             &fragments,
             &self.router,
@@ -1266,7 +1218,7 @@ pub(crate) mod tests {
     /// radius now clamps to the signature width.
     #[test]
     fn merged_view_survives_a_router_narrower_than_the_merge_radius() {
-        let mut cfg = ServiceConfig::new(2, 2, test_params()).with_batch(8).with_merge_radius(4);
+        let mut cfg = ServiceConfig::new(2, 2, test_params()).with_batch(8);
         cfg.router_bits = 1;
         let svc = Service::new(cfg);
         let items = two_blob_items(40);
@@ -1277,23 +1229,6 @@ pub(crate) mod tests {
         assert!(!view.clusters.is_empty());
         // And the service is still alive for every other query.
         assert!(matches!(svc.ingest(&items[0]), Admission::Enqueued { .. }));
-    }
-
-    /// `set_merge_knobs` reconfigures the reducer post-construction
-    /// (the serve CLI's restore path) and invalidates the cache.
-    #[test]
-    fn set_merge_knobs_applies_and_invalidates() {
-        let mut svc = service(2);
-        let items = two_blob_items(40);
-        svc.ingest_batch(items.iter().map(Vec::as_slice));
-        svc.drain();
-        svc.sweep();
-        let before = svc.merged_view();
-        svc.set_merge_knobs(3, 1);
-        assert_eq!(svc.config().merge_sample, 3);
-        assert_eq!(svc.config().merge_radius, 1);
-        let after = svc.merged_view();
-        assert!(!Arc::ptr_eq(&before, &after), "knob changes must invalidate the cache");
     }
 
     #[test]

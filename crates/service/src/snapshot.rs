@@ -25,10 +25,9 @@
 //!   the same bytes, so the restorer picks its own;
 //! * peel telemetry and per-shard busy counts — diagnostics that
 //!   never feed back into detection;
-//! * the merged-view cache and the merge knobs (`merge_sample`,
-//!   `merge_radius`) — the reduction is recomputed on demand from
-//!   restored shard state, and because its evidence is canonical in
-//!   the member sets, a restored service's merged view is
+//! * the merged-view cache — the reduction is recomputed on demand
+//!   from restored shard state, and because its evidence is canonical
+//!   in the member sets, a restored service's merged view is
 //!   bit-identical to the uninterrupted one.
 
 use std::fmt;
@@ -38,7 +37,7 @@ use alid_affinity::cost::CostModel;
 use alid_affinity::kernel::{LaplacianKernel, LpNorm};
 use alid_affinity::vector::Dataset;
 use alid_core::streaming::StreamingAlid;
-use alid_core::{AlidParams, SpeculationParams};
+use alid_core::AlidParams;
 use alid_exec::ExecPolicy;
 use alid_lsh::LshParams;
 use serde::bin::{self, BinError};
@@ -53,7 +52,10 @@ pub const MAGIC: &[u8; 8] = b"ALIDSNAP";
 /// which journal frames are already reflected) and the packed-f64
 /// array encoding in the `serde::bin` codec. Version 3 dropped the
 /// per-shard `assigned` array (derived from cluster membership on
-/// restore) and made `journal_pos` required.
+/// restore) and made `journal_pos` required. Files written while the
+/// peel round width was still configurable also carry `spec_adaptive`
+/// and `spec_initial_width` under `params`; the reader looks fields up
+/// by key, so it ignores them.
 pub const VERSION: u32 = 3;
 
 /// Why a snapshot failed to restore.
@@ -111,8 +113,6 @@ fn params_json(p: &AlidParams) -> Json {
         ("lsh_projections", p.lsh.projections.to_json()),
         ("lsh_r", p.lsh.r.to_json()),
         ("lsh_seed", p.lsh.seed.to_json()),
-        ("spec_adaptive", p.speculation.adaptive.to_json()),
-        ("spec_initial_width", p.speculation.initial_width.to_json()),
     ])
 }
 
@@ -227,10 +227,6 @@ fn f64_field(obj: &Json, key: &str) -> Result<f64, SnapshotError> {
     field(obj, key)?.as_f64().ok_or_else(|| schema_err(format!("field {key:?} is not a number")))
 }
 
-fn bool_field(obj: &Json, key: &str) -> Result<bool, SnapshotError> {
-    field(obj, key)?.as_bool().ok_or_else(|| schema_err(format!("field {key:?} is not a boolean")))
-}
-
 fn arr_field<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], SnapshotError> {
     field(obj, key)?.as_arr().ok_or_else(|| schema_err(format!("field {key:?} is not an array")))
 }
@@ -283,10 +279,6 @@ fn params_from_json(obj: &Json) -> Result<AlidParams, SnapshotError> {
         return Err(schema_err("invalid LSH parameters"));
     }
     params.lsh = LshParams::new(tables, projections, r, u64_field(obj, "lsh_seed")?);
-    params.speculation = SpeculationParams {
-        adaptive: bool_field(obj, "spec_adaptive")?,
-        initial_width: usize_field(obj, "spec_initial_width")?,
-    };
     Ok(params)
 }
 
@@ -356,9 +348,8 @@ pub struct SnapshotMeta {
 }
 
 /// Restores a service from [`snapshot_bytes`] output. `exec` becomes
-/// both the service-level fan-out policy and the shards' detection
-/// policy — a runtime choice, since any worker count produces the
-/// same bytes.
+/// the service's execution policy (`params.exec`) — a runtime choice,
+/// since any worker count produces the same bytes.
 pub fn restore(bytes: &[u8], exec: ExecPolicy) -> Result<Service, SnapshotError> {
     restore_with_meta(bytes, exec).map(|(svc, _)| svc)
 }
@@ -389,6 +380,11 @@ pub fn restore_with_meta(
         return Err(schema_err("batch must be positive"));
     }
     let queue_capacity = usize_field(&body, "queue_capacity")?;
+    if queue_capacity == 0 {
+        // A zero bound would answer every admission Busy and fail
+        // journal replay at the first Admit frame.
+        return Err(schema_err("queue_capacity must be positive"));
+    }
     let router_bits = usize_field(&body, "router_bits")?;
     if !(1..=64).contains(&router_bits) {
         return Err(schema_err("router_bits must be in 1..=64"));
@@ -396,24 +392,8 @@ pub fn restore_with_meta(
     let router_seed = u64_field(&body, "router_seed")?;
     let mut params = params_from_json(field(&body, "params")?)?;
     params.exec = exec;
-    // The merge knobs are query-time reducer configuration, not
-    // behavioural state (like `exec`, they never change what a shard
-    // computes): restores take the serving defaults and the caller
-    // re-applies any overrides via `Service::set_merge_knobs` (the
-    // serve CLI does exactly that).
-    let defaults = ServiceConfig::new(dim, shards, params);
-    let cfg = ServiceConfig {
-        dim,
-        shards,
-        batch,
-        queue_capacity,
-        router_bits,
-        router_seed,
-        params,
-        exec,
-        merge_sample: defaults.merge_sample,
-        merge_radius: defaults.merge_radius,
-    };
+    let cfg =
+        ServiceConfig { dim, shards, batch, queue_capacity, router_bits, router_seed, params };
     let shard_states = arr_field(&body, "shard_states")?;
     if shard_states.len() != shards {
         return Err(schema_err("shard_states count does not match shards"));
@@ -696,6 +676,44 @@ mod tests {
         });
         let msg = schema_error(&bytes);
         assert!(msg.contains("pending item"), "{msg}");
+    }
+
+    /// Files written while the peel round width was still configurable
+    /// carry `spec_adaptive` and `spec_initial_width` under `params`.
+    /// Both shapes must restore to the same state: the fields are
+    /// ignored when present and need not be there.
+    #[test]
+    fn retired_spec_params_are_optional_and_ignored() {
+        let original = snapshot_bytes(&populated_service());
+        let with_spec_fields = |keep: bool| {
+            tampered(&original, |body| {
+                let Json::Obj(params) = field_mut(body, "params") else { panic!("params") };
+                params.retain(|(k, _)| !k.starts_with("spec_"));
+                if keep {
+                    params.push(("spec_adaptive".into(), Json::Bool(true)));
+                    params.push(("spec_initial_width".into(), Json::UInt(0)));
+                }
+            })
+        };
+        let mut resnapshots = Vec::new();
+        for keep in [true, false] {
+            let restored = restore(&with_spec_fields(keep), ExecPolicy::sequential())
+                .unwrap_or_else(|e| panic!("spec fields present = {keep}: {e}"));
+            resnapshots.push(snapshot_bytes(&restored));
+        }
+        assert_eq!(resnapshots[0], resnapshots[1], "the spec fields changed the restored state");
+        assert_eq!(resnapshots[0], original, "the restore does not round-trip");
+    }
+
+    /// `with_queue_capacity` and `--queue` refuse 0; a file carrying it
+    /// would restore a service that answers every admission Busy.
+    #[test]
+    fn zero_queue_capacity_is_a_schema_error() {
+        let bytes = tampered(&snapshot_bytes(&populated_service()), |body| {
+            *field_mut(body, "queue_capacity") = Json::UInt(0);
+        });
+        let msg = schema_error(&bytes);
+        assert!(msg.contains("queue_capacity"), "{msg}");
     }
 
     #[test]

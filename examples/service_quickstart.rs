@@ -29,7 +29,6 @@ fn main() {
     params.first_roi_radius = kernel.distance_at(0.5);
     params.density_threshold = 0.75;
     params.min_cluster_size = 4;
-    params.exec = ExecPolicy::auto();
 
     let cfg = ServiceConfig::new(4, 2, params).with_batch(16).with_exec(ExecPolicy::auto());
     let service = Arc::new(Service::new(cfg));

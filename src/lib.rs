@@ -70,7 +70,7 @@ pub mod prelude {
     pub use alid_core::streaming::{MergeEvidence, StreamUpdate, StreamingAlid};
     pub use alid_core::{
         detect_on_subset, detect_one, palid_detect, AlidParams, PalidParams, PeelStats, Peeler,
-        RoundStats, SpeculationParams,
+        RoundStats,
     };
     pub use alid_data::groundtruth::{GroundTruth, LabeledDataset};
     pub use alid_exec::ExecPolicy;

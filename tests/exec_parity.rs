@@ -123,8 +123,8 @@ fn speculative_parallel_peeling_matches_sequential_on_sift() {
 /// (`alid_bench::fixtures::pair_chain`): interleaved-id pairs whose
 /// read sets cover their id-neighbours while their clusters never do,
 /// so any round speculating more than one seed conflicts —
-/// speculation's worst case, and exactly where the adaptive width must
-/// earn its keep.
+/// speculation's worst case, and exactly where the round width must
+/// adapt.
 fn interleaved_pairs_workload() -> (Dataset, AlidParams) {
     alid_bench::fixtures::pair_chain(12, 0.5)
 }
@@ -139,113 +139,51 @@ fn conflict_heavy_speculation_stays_byte_identical_and_reports_reruns() {
     for (b, c) in sequential.clusters.iter().enumerate() {
         assert_eq!(c.members, vec![b as u32, 12 + b as u32], "pair {b}");
     }
-    assert!(seq_stats.rounds.is_empty() && seq_stats.wasted() == 0);
-    // CI's extra pass also pins the adaptive schedule's *initial*
-    // width to `ALID_TEST_WORKERS`, so the third workflow pass (set to
-    // 8) exercises adaptation from a start that oversubscribes the
-    // runner's cores.
-    let mut specs = vec![
-        SpeculationParams { adaptive: true, initial_width: 0 },
-        SpeculationParams { adaptive: false, initial_width: 0 },
-    ];
-    if let Ok(v) = std::env::var("ALID_TEST_WORKERS") {
-        let extra: usize = v.parse().expect("ALID_TEST_WORKERS must be a positive integer");
-        specs.push(SpeculationParams { adaptive: true, initial_width: extra });
-    }
-    for workers in parity_workers() {
-        for &spec in &specs {
-            let p = params.with_exec(ExecPolicy::workers(workers)).with_speculation(spec);
-            let (parallel, stats) =
-                Peeler::new(&ds, p, CostModel::shared()).detect_all_with_stats();
-            assert_eq!(
-                sequential.clusters.len(),
-                parallel.clusters.len(),
-                "{workers} workers {spec:?} changed the cluster count"
-            );
-            for (a, b) in sequential.clusters.iter().zip(&parallel.clusters) {
-                assert_eq!(a.members, b.members, "{workers} workers {spec:?}");
-                let aw: Vec<u64> = a.weights.iter().map(|w| w.to_bits()).collect();
-                let bw: Vec<u64> = b.weights.iter().map(|w| w.to_bits()).collect();
-                assert_eq!(aw, bw, "{workers} workers {spec:?} changed weights");
-                assert_eq!(a.density.to_bits(), b.density.to_bits(), "{workers} workers {spec:?}");
-            }
-            if workers == 1 {
-                // `ALID_TEST_WORKERS=1` is a legal env value: a
-                // single-worker policy is the sequential pass, which
-                // speculates nothing and records no rounds.
-                assert!(stats.rounds.is_empty(), "sequential pass recorded rounds: {stats:?}");
-                assert_eq!(stats.wasted(), 0);
-                continue;
-            }
-            // The telemetry must expose the conflicts the fixture
-            // manufactures: every accepted pair invalidates the next
-            // id's read set, so re-runs are guaranteed at any width > 1.
-            assert!(stats.rerun > 0, "{workers} workers {spec:?}: no re-runs reported: {stats:?}");
-            assert_eq!(
-                stats.speculated,
-                stats.accepted + stats.absorbed + stats.rerun,
-                "{workers} workers {spec:?}: speculation accounting leaks"
-            );
-            assert_eq!(stats.accepted, 12, "{workers} workers {spec:?}");
-            if !spec.adaptive {
-                // Fixed-width rounds: every round that speculated more
-                // than one seed must have conflicted — except the final
-                // round, where the only remaining seeds are the last
-                // pair itself (its second seed is absorbed, not
-                // re-run).
-                let last = stats.rounds.len() - 1;
-                for (i, r) in stats.rounds.iter().enumerate() {
-                    assert!(
-                        i == last || r.speculated == 1 || r.rerun > 0,
-                        "{workers} workers: fixed round {i} should conflict: {r:?}"
-                    );
-                }
-                assert!(
-                    stats.conflict_rate() > 0.85,
-                    "{workers} workers: {}",
-                    stats.conflict_rate()
-                );
-            }
-        }
-        // The adaptive schedule must waste strictly less work than the
-        // fixed full-width schedule on this all-conflict workload (both
-        // schedules are deterministic, so this is a stable comparison).
-        let run = |adaptive: bool| {
-            let p = params
-                .with_exec(ExecPolicy::workers(workers))
-                .with_speculation(SpeculationParams { adaptive, initial_width: 0 });
-            Peeler::new(&ds, p, CostModel::shared()).detect_all_with_stats().1
-        };
-        if workers > 2 {
-            assert!(
-                run(true).wasted() < run(false).wasted(),
-                "{workers} workers: adaptive width should cut wasted detections"
-            );
-        }
-    }
-}
-
-#[test]
-fn detect_up_to_is_a_byte_identical_prefix_for_any_policy() {
-    let (ds, params) = workload();
-    let all = Peeler::new(&ds.data, params, CostModel::shared()).detect_all();
-    let cap = (all.clusters.len() / 2).max(1);
-    assert!(cap < all.clusters.len(), "workload must have enough clusters to cap");
-    let seq = Peeler::new(&ds.data, params, CostModel::shared()).detect_up_to(cap);
-    assert_eq!(seq.clusters.len(), cap);
-    for (a, b) in all.clusters.iter().zip(&seq.clusters) {
-        assert_eq!(a.members, b.members, "sequential cap is not a prefix of the full pass");
-    }
+    // A single worker runs width-1 rounds: each holds one seed and
+    // wastes nothing.
+    let single_seed_rounds = |stats: &PeelStats| {
+        assert_eq!(stats.rounds.len(), 12, "one round per detection: {stats:?}");
+        assert!(stats.rounds.iter().all(|r| r.speculated == 1 && r.wasted() == 0), "{stats:?}");
+        assert_eq!(stats.wasted(), 0);
+    };
+    single_seed_rounds(&seq_stats);
     for workers in parity_workers() {
         let p = params.with_exec(ExecPolicy::workers(workers));
-        let par = Peeler::new(&ds.data, p, CostModel::shared()).detect_up_to(cap);
-        assert_eq!(par.clusters.len(), cap, "{workers} workers");
-        for (a, b) in seq.clusters.iter().zip(&par.clusters) {
-            assert_eq!(a.members, b.members, "{workers} workers changed a capped member set");
+        let (parallel, stats) = Peeler::new(&ds, p, CostModel::shared()).detect_all_with_stats();
+        assert_eq!(
+            sequential.clusters.len(),
+            parallel.clusters.len(),
+            "{workers} workers changed the cluster count"
+        );
+        for (a, b) in sequential.clusters.iter().zip(&parallel.clusters) {
+            assert_eq!(a.members, b.members, "{workers} workers");
             let aw: Vec<u64> = a.weights.iter().map(|w| w.to_bits()).collect();
             let bw: Vec<u64> = b.weights.iter().map(|w| w.to_bits()).collect();
-            assert_eq!(aw, bw, "{workers} workers changed capped weights");
+            assert_eq!(aw, bw, "{workers} workers changed weights");
             assert_eq!(a.density.to_bits(), b.density.to_bits(), "{workers} workers");
+        }
+        if workers == 1 {
+            // `ALID_TEST_WORKERS=1` is a legal env value.
+            single_seed_rounds(&stats);
+            continue;
+        }
+        // The telemetry must expose the conflicts the fixture
+        // manufactures: every accepted pair invalidates the next
+        // id's read set, so re-runs are guaranteed at any width > 1.
+        assert!(stats.rerun > 0, "{workers} workers: no re-runs reported: {stats:?}");
+        assert_eq!(
+            stats.speculated,
+            stats.accepted + stats.absorbed + stats.rerun,
+            "{workers} workers: speculation accounting leaks"
+        );
+        assert_eq!(stats.accepted, 12, "{workers} workers");
+        if workers > 2 {
+            // Every round wider than one seed conflicts here, so the
+            // width halves away from the worker count it starts at.
+            assert!(
+                stats.mean_width() < workers as f64,
+                "{workers} workers: the round width never adapted: {stats:?}"
+            );
         }
     }
 }

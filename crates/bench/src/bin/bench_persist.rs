@@ -5,9 +5,9 @@
 //! base stream, then measures two ways of making the next mutation
 //! durable:
 //!
-//! - **journal append** — ingest one item, drain, and wait on the
-//!   group-commit barrier: the per-mutation cost of the append-only
-//!   log (a handful of frame bytes plus one batched fsync).
+//! - **journal append** — ingest one item, drain, and flush through
+//!   the group-commit barrier: the per-mutation cost of the
+//!   append-only log (a handful of frame bytes plus one fsync).
 //! - **full snapshot** — serialize the whole service, write it to a
 //!   temp file and fsync: the cost the journal replaces, which grows
 //!   with everything admitted so far.
@@ -16,7 +16,9 @@
 //! and bytes stay flat as the dataset grows, while the snapshot column
 //! scales with it. The bench asserts the byte-level version of the
 //! claim (appended bytes per mutation at least 10x smaller than the
-//! snapshot at the largest size, and size-independent within noise);
+//! snapshot at the largest size, and size-independent within noise)
+//! and that each durable append costs exactly one fsync, counted by
+//! the journal's `alid_service_journal_fsync_seconds` histogram;
 //! latency ratios are reported rather than asserted because fsync cost
 //! is hardware-dependent.
 //!
@@ -121,11 +123,23 @@ fn journal_disk_bytes(dir: &std::path::Path) -> u64 {
     total
 }
 
+/// Fsyncs the service's journal has made so far, read from its
+/// registry.
+fn journal_fsyncs(service: &Service) -> u64 {
+    service
+        .metrics_registry()
+        .snapshot_samples()
+        .into_iter()
+        .find(|s| s.series == "alid_service_journal_fsync_seconds_count")
+        .map_or(0, |s| s.value as u64)
+}
+
 struct Cell {
     items: usize,
     append_p50_ms: f64,
     append_p99_ms: f64,
     append_bytes_per_item: f64,
+    fsyncs_per_append: f64,
     snapshot_p50_ms: f64,
     snapshot_bytes: usize,
     latency_ratio: f64,
@@ -139,6 +153,7 @@ impl Serialize for Cell {
             ("append_p50_ms", self.append_p50_ms.to_json()),
             ("append_p99_ms", self.append_p99_ms.to_json()),
             ("append_bytes_per_item", self.append_bytes_per_item.to_json()),
+            ("fsyncs_per_append", self.fsyncs_per_append.to_json()),
             ("snapshot_p50_ms", self.snapshot_p50_ms.to_json()),
             ("snapshot_bytes", self.snapshot_bytes.to_json()),
             ("latency_ratio", self.latency_ratio.to_json()),
@@ -174,22 +189,24 @@ fn run_cell(
         service.drain();
     }
     if let Some(j) = service.journal() {
-        j.barrier();
+        j.barrier().expect("flush the bench journal");
     }
 
     // Journal side: per-mutation durable append, group commit included.
     let bytes_before = journal_disk_bytes(&dir);
+    let fsyncs_before = journal_fsyncs(&service);
     let mut append_ms = Vec::with_capacity(probes);
     for item in &items[base..] {
         let started = Instant::now();
         service.ingest(item);
         service.drain();
         if let Some(j) = service.journal() {
-            j.barrier();
+            j.barrier().expect("flush the bench journal");
         }
         append_ms.push(started.elapsed().as_secs_f64() * 1e3);
     }
     let append_bytes_per_item = (journal_disk_bytes(&dir) - bytes_before) as f64 / probes as f64;
+    let fsyncs_per_append = (journal_fsyncs(&service) - fsyncs_before) as f64 / probes as f64;
     append_ms.sort_by(f64::total_cmp);
 
     // Snapshot side: serialize everything, write, fsync — the cost a
@@ -218,6 +235,7 @@ fn run_cell(
         append_p50_ms,
         append_p99_ms: percentile(&append_ms, 0.99),
         append_bytes_per_item,
+        fsyncs_per_append,
         snapshot_p50_ms,
         snapshot_bytes,
         latency_ratio: snapshot_p50_ms / append_p50_ms,
@@ -245,10 +263,11 @@ fn main() {
         let (items, params) = workload(total);
         let cell = run_cell(total, probes, snap_reps, params, &items, exec);
         eprintln!(
-            "items={total}: append p50 {:.3}ms p99 {:.3}ms ({:.0} B/item), snapshot p50 {:.2}ms ({} B) — {:.0}x bytes",
+            "items={total}: append p50 {:.3}ms p99 {:.3}ms ({:.0} B/item, {} fsyncs/append), snapshot p50 {:.2}ms ({} B) — {:.0}x bytes",
             cell.append_p50_ms,
             cell.append_p99_ms,
             cell.append_bytes_per_item,
+            cell.fsyncs_per_append,
             cell.snapshot_p50_ms,
             cell.snapshot_bytes,
             cell.bytes_ratio,
@@ -261,6 +280,16 @@ fn main() {
     // than one full snapshot at the largest size.
     let first = &cells[0];
     let last = &cells[cells.len() - 1];
+    // Each probe (ingest, drain, barrier; compact_every 0, so no
+    // rotation) leaves one flush of its own frames: exactly one fsync.
+    for c in &cells {
+        assert!(
+            c.fsyncs_per_append == 1.0,
+            "each durable append must cost exactly one fsync (got {} at {} items)",
+            c.fsyncs_per_append,
+            c.items,
+        );
+    }
     assert!(
         last.bytes_ratio >= 10.0,
         "journal append must be at least 10x cheaper in bytes than a full snapshot \
@@ -287,6 +316,7 @@ fn main() {
                 fmt(c.append_p50_ms),
                 fmt(c.append_p99_ms),
                 fmt(c.append_bytes_per_item),
+                fmt(c.fsyncs_per_append),
                 fmt(c.snapshot_p50_ms),
                 c.snapshot_bytes.to_string(),
                 fmt(c.latency_ratio),
@@ -301,6 +331,7 @@ fn main() {
             "append_p50_ms",
             "append_p99_ms",
             "append_B/item",
+            "fsyncs/append",
             "snap_p50_ms",
             "snap_bytes",
             "lat_ratio",
@@ -309,7 +340,7 @@ fn main() {
         &rows,
     );
 
-    let mut fields = run_header("alid-bench/persist/1", exec.worker_count());
+    let mut fields = run_header("alid-bench/persist/2", exec.worker_count());
     fields.extend([
         ("smoke", cli.smoke.to_json()),
         ("probes", probes.to_json()),

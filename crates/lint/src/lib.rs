@@ -96,10 +96,10 @@ pub struct Config {
     pub kernel: Vec<String>,
     /// Paths where thread spawns / clock reads are legitimate (the
     /// exec pool's worker threads, the obs crate — the one sanctioned
-    /// clock owner — benches, the HTTP front end, the journal's
-    /// group-commit writer thread). Timing there feeds reports and
-    /// fsync batching, never output values; the exec scheduler itself
-    /// is not listed, so its chunk sizes cannot become time-dependent.
+    /// clock owner — benches, the HTTP front end). Timing there feeds
+    /// reports and I/O deadlines, never output values; the exec
+    /// scheduler itself is not listed, so its chunk sizes cannot
+    /// become time-dependent.
     /// Doubles as the exposition allowlist for `no-metric-branching`:
     /// where a clock may be read, a metric may be read back out for
     /// telemetry.
@@ -131,7 +131,6 @@ impl Config {
                 "crates/bench/",
                 "crates/obs/",
                 "crates/service/src/http.rs",
-                "crates/service/src/journal.rs",
                 "crates/shims/criterion/",
                 "examples/",
             ]),

@@ -78,11 +78,14 @@ fn raw_threads_and_time_fire_and_suppress() {
 
     // The workspace policy allowlists the exec pool's thread file, not
     // the exec scheduler: a clock read there would make chunk sizes
-    // time-dependent.
+    // time-dependent. The journal flushes on its callers' threads and
+    // times fsyncs through `alid-obs`, so it is not listed either.
     let cfg = Config::workspace();
-    let (f, _) = lint_source("crates/exec/src/lib.rs", &fixture("timing.rs"), &cfg);
-    assert_eq!(lines(&f, "no-raw-threads"), vec![6, 12]);
-    assert_eq!(lines(&f, "no-raw-time"), vec![16, 21]);
+    for path in ["crates/exec/src/lib.rs", "crates/service/src/journal.rs"] {
+        let (f, _) = lint_source(path, &fixture("timing.rs"), &cfg);
+        assert_eq!(lines(&f, "no-raw-threads"), vec![6, 12], "{path}");
+        assert_eq!(lines(&f, "no-raw-time"), vec![16, 21], "{path}");
+    }
     let (f, _) = lint_source("crates/exec/src/pool.rs", &fixture("timing.rs"), &cfg);
     assert!(f.is_empty(), "the pool file is allowlisted: {f:?}");
 }

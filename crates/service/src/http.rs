@@ -15,7 +15,7 @@
 //! | method & path | body | effect |
 //! |---|---|---|
 //! | `GET /healthz` | — | liveness + per-shard depth metrics (queue depth, busy refusals) |
-//! | `POST /ingest` | `{"items": [[f64,...],...], "apply": bool?}` | admit a batch (bounded queues, `busy` verdicts; any refusal adds a `Retry-After` header + `retry_after_ms` hint derived from the fullest refusing queue), then drain unless `apply` is `false` |
+//! | `POST /ingest` | `{"items": [[f64,...],...]}` | admit a batch (bounded queues, `busy` verdicts; any refusal adds a `Retry-After` header + `retry_after_ms` hint derived from the fullest refusing queue), then drain; with a journal, answer only once the batch's frames are fsynced (`500` if they could not be) |
 //! | `GET /assign?id=N` | — | placement + cluster of an admitted item |
 //! | `POST /assign` | `{"vector": [f64,...]}` | read-only attachment probe |
 //! | `GET /clusters?k=N` | — | top-k densest shard-local clusters (the raw fragment ranking) |
@@ -717,12 +717,12 @@ fn ingest(
         vectors.push(vector_from_json(item, dim)?);
     }
     let results = service.ingest_batch(vectors.iter().map(Vec::as_slice));
-    let apply = body.get("apply").and_then(Json::as_bool).unwrap_or(true);
-    let report = if apply { service.drain() } else { crate::service::DrainReport::default() };
+    let report = service.drain();
     if let Some(j) = service.journal() {
         // Group commit: acknowledge only once this request's frames are
         // on disk. Concurrent requests waiting here share one fsync.
-        j.barrier();
+        j.barrier()
+            .map_err(|e| HttpError::new(500, format!("ingest applied but not durable: {e}")))?;
         if j.needs_compaction() {
             maybe_compact(service, opts, m);
         }
@@ -739,7 +739,6 @@ fn ingest(
         .max();
     let mut fields = vec![
         ("results", results.to_json()),
-        ("applied", apply.to_json()),
         ("report", report.to_json()),
         ("depths", service.depths().to_json()),
     ];
@@ -864,10 +863,9 @@ fn write_snapshot_file(
     crate::journal::sync_dir(dir.unwrap_or(std::path::Path::new(".")))?;
     let truncated = match service.journal() {
         Some(j) => {
-            // The barrier guarantees the writer has processed the
-            // rotation the snapshot requested, so the pre-snapshot
-            // segments are closed and eligible.
-            j.barrier();
+            // The barrier performs the rotation the snapshot requested,
+            // so the pre-snapshot segments are closed and eligible.
+            j.barrier()?;
             j.truncate_below(cut)
         }
         None => 0,
@@ -1195,11 +1193,11 @@ mod tests {
         let service = Arc::new(Service::new(ServiceConfig::new(1, 1, p).with_queue_capacity(2)));
         let server = start(service, "127.0.0.1:0", HttpOptions::default()).expect("bind");
         let addr = server.addr().to_string();
-        // Six admissions into a two-slot queue without draining: four
-        // must be refused, and the response must carry the hint both
-        // as JSON and as a Retry-After header (checked on the raw
-        // bytes — the test client strips headers).
-        let payload = r#"{"items":[[0.1],[0.2],[0.3],[0.4],[0.5],[0.6]],"apply":false}"#;
+        // Six admissions into a two-slot queue, all admitted before the
+        // request drains: four must be refused, and the response must
+        // carry the hint both as JSON and as a Retry-After header
+        // (checked on the raw bytes — the test client strips headers).
+        let payload = r#"{"items":[[0.1],[0.2],[0.3],[0.4],[0.5],[0.6]]}"#;
         let request = format!(
             "POST /ingest HTTP/1.1\r\nHost: alid\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
             payload.len()
@@ -1217,13 +1215,74 @@ mod tests {
         assert_eq!(health.get("busy_total").and_then(Json::as_u64), Some(4), "{health:?}");
         let depths = health.get("depths").and_then(Json::as_arr).unwrap();
         assert_eq!(depths[0].get("busy").and_then(Json::as_u64), Some(4));
-        assert_eq!(depths[0].get("queued").and_then(Json::as_u64), Some(2));
+        assert_eq!(depths[0].get("items").and_then(Json::as_u64), Some(2));
+        assert_eq!(depths[0].get("queued").and_then(Json::as_u64), Some(0));
         // A fully admitted batch carries no hint.
-        let ok = Json::object([("items", Json::Arr(vec![])), ("apply", Json::Bool(false))]);
+        let ok = Json::object([("items", Json::Arr(vec![]))]);
         let (status, resp) = client.request("POST", "/ingest", Some(&ok)).unwrap();
         assert_eq!(status, 200);
         assert!(resp.get("retry_after_ms").is_none(), "{resp:?}");
         server.shutdown();
+    }
+
+    /// An ingest whose journal flush fails answers 500, never 200.
+    /// `journal-00000001` is a symlink to `/dev/full`, so the first
+    /// rotation past `compact_every` fails with ENOSPC and stops the
+    /// journal; every ingest answered 200 must have all of its frames
+    /// durable.
+    #[cfg(unix)]
+    #[test]
+    fn an_ingest_the_journal_cannot_flush_is_never_acknowledged() {
+        let dir = std::env::temp_dir().join(format!("alid_http_full_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let kernel = LaplacianKernel::l2(1.0);
+        let mut p = AlidParams::new(kernel);
+        p.lsh.seed = 5;
+        // One shard: each 4-item request journals 4 admits + 1 apply.
+        let mut service = Service::new(ServiceConfig::new(1, 1, p).with_batch(8));
+        let cfg = crate::journal::JournalConfig { dir: dir.clone(), compact_every: 64 };
+        let journal = crate::journal::recover_and_open(cfg, &service, 0).expect("open journal");
+        service.set_journal(journal);
+        // Only after the open: recovery reads every segment, and a read
+        // of /dev/full never ends.
+        std::os::unix::fs::symlink("/dev/full", dir.join("journal-00000001")).expect("symlink");
+        let server = start(
+            Arc::new(service),
+            "127.0.0.1:0",
+            HttpOptions { http_workers: 1, snapshot_path: None },
+        )
+        .expect("bind loopback");
+        let mut client = Client::connect(server.addr()).unwrap();
+        let mut statuses = Vec::new();
+        for r in 0..4 {
+            let items: Vec<Json> =
+                (0..4).map(|i| Json::Arr(vec![Json::Num((r * 4 + i) as f64 * 0.01)])).collect();
+            let body = Json::object([("items", Json::Arr(items))]);
+            let (status, resp) = client.request("POST", "/ingest", Some(&body)).unwrap();
+            if status != 200 {
+                assert_eq!(status, 500, "{resp:?}");
+                let message = resp.get("error").and_then(Json::as_str).unwrap_or_default();
+                assert!(message.contains("applied but not durable"), "{message}");
+            }
+            statuses.push(status);
+        }
+        let (status, health) = client.request("GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        let journal = health.get("journal").expect("journal block");
+        let durable = journal.get("durable").and_then(Json::as_u64).unwrap();
+        assert_eq!(journal.get("appended").and_then(Json::as_u64), Some(20), "{health:?}");
+        assert!(statuses.contains(&500), "the failed flush must surface: {statuses:?}");
+        for (r, &status) in statuses.iter().enumerate() {
+            if status == 200 {
+                let frames_end = 5 * (r as u64 + 1);
+                assert!(
+                    durable >= frames_end,
+                    "request {r} was acknowledged with {durable} of its first {frames_end} frames durable"
+                );
+            }
+        }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

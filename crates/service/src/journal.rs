@@ -20,8 +20,8 @@
 //!   unknown fields, so their segments still replay.
 //!
 //! Queries, merge-knob changes and telemetry are all derived or
-//! ephemeral and stay out. Because every frame is enqueued while its
-//! mutation's commit lock is held, the channel's FIFO order *is* a
+//! ephemeral and stay out. Because every frame is appended while its
+//! mutation's commit lock is held, the pending list's order *is* a
 //! legal commit order: frames touching one shard appear in that
 //! shard's commit order, and frames of different shards commute.
 //!
@@ -41,24 +41,26 @@
 //!
 //! # Group commit
 //!
-//! Appenders never touch the file: they bump the logical position and
-//! send a typed message to a dedicated writer thread, which drains
-//! everything queued, encodes it, and pays **one** `write` + one
-//! `fsync` for the whole batch. [`Journal::barrier`] waits for the
-//! fsync covering every previously appended frame; N concurrent HTTP
-//! ingests that barrier together therefore share one disk flush. A
-//! writer I/O failure is fail-fast: the thread panics (visibly, on
-//! stderr), subsequent appends are dropped, and `/healthz` shows the
-//! growing `appended - durable` lag — detection itself never stops.
+//! Appenders never touch the file: under their commit locks they bump
+//! the logical position and push the frame onto an in-memory list.
+//! [`Journal::barrier`] — run by every HTTP path that acknowledges a
+//! mutation, by the snapshot writer and on drop — encodes, writes and
+//! fsyncs the whole list on the caller's thread: **one** `write` + one
+//! `fsync` per segment touched, shared by every concurrent barrier.
+//! Nothing reaches disk in the background. The first I/O error stops
+//! the journal: every later barrier fails too (HTTP ingest answers 500,
+//! never an undurable 200), appends drop their frames, and `/healthz`
+//! shows the growing `appended - durable` lag — detection itself never
+//! stops.
 //!
 //! # Compaction
 //!
-//! The snapshot codec captures the cut position and asks the writer
-//! to rotate segments while it still holds every service lock (see
-//! `Journal::rotate_for_cut`); once the snapshot is durably on
-//! disk, [`Journal::truncate_below`] deletes every closed segment
-//! whose frames all lie below the cut. A crash between the snapshot
-//! rename and the truncation is safe: replay skips frames below the
+//! The snapshot codec captures the cut position while it still holds
+//! every service lock (see `Journal::rotate_for_cut`); the next flush
+//! opens a fresh segment there. Once the snapshot is durably on disk,
+//! [`Journal::truncate_below`] deletes every closed segment whose
+//! frames all lie below the cut. A crash between the snapshot rename
+//! and the truncation is safe: replay skips frames below the
 //! snapshot's embedded position.
 //!
 //! # Recovery
@@ -77,7 +79,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 
 use serde::bin;
@@ -99,8 +100,8 @@ const FRAME_HEADER_LEN: usize = 8;
 pub struct JournalConfig {
     /// Directory holding the `journal-<seq>` segment files.
     pub dir: PathBuf,
-    /// Segment size threshold in bytes: the writer rotates to a fresh
-    /// segment once the current one exceeds it, and the HTTP front
+    /// Segment size threshold in bytes: a flush rotates to a fresh
+    /// segment once the current one reaches it, and the HTTP front
     /// end triggers a compacting snapshot once this many journal
     /// bytes accumulated since the last one. `0` disables both (the
     /// journal still appends and recovers; explicit `POST /snapshot`
@@ -166,39 +167,71 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// What appenders enqueue to the writer thread. Mutation variants are
-/// captured by value under the mutation's commit lock; encoding
-/// happens on the writer thread, off every hot path.
-enum Msg {
-    Admit {
-        id: u64,
-        shard: u32,
-        v: Vec<f64>,
-    },
-    Apply {
-        shard: u32,
-        upto: u64,
-    },
-    Sweep {
-        shard: u32,
-        upto: u64,
-    },
-    /// Close the current segment (flush + fsync) and open the next —
-    /// enqueued by the snapshot codec at its cut position.
-    Rotate,
-    /// Reply on the channel once every earlier frame is fsynced.
-    Barrier(SyncSender<()>),
-    /// Flush and exit the writer thread.
-    Shutdown,
+/// One journaled mutation, captured under its commit lock and encoded
+/// by the next flush.
+enum Frame {
+    Admit { id: u64, shard: u32, v: Vec<f64> },
+    Apply { shard: u32, upto: u64 },
+    Sweep { shard: u32, upto: u64 },
 }
 
-/// State the writer thread shares with appenders — split from
-/// [`JournalInner`] so the thread holds no reference cycle keeping
-/// the journal alive.
-struct Shared {
+impl Frame {
+    fn payload(&self) -> Json {
+        match self {
+            Frame::Admit { id, shard, v } => Json::object([
+                ("t", "a".to_json()),
+                ("id", Json::UInt(*id)),
+                ("shard", Json::UInt(u64::from(*shard))),
+                ("v", Json::Arr(v.iter().map(|&x| Json::Num(x)).collect())),
+            ]),
+            Frame::Apply { shard, upto } => Json::object([
+                ("t", "d".to_json()),
+                ("shard", Json::UInt(u64::from(*shard))),
+                ("upto", Json::UInt(*upto)),
+            ]),
+            Frame::Sweep { shard, upto } => Json::object([
+                ("t", "s".to_json()),
+                ("shard", Json::UInt(u64::from(*shard))),
+                ("upto", Json::UInt(*upto)),
+            ]),
+        }
+    }
+}
+
+/// What appenders hand the next flush. Its lock is taken under the
+/// commit locks, so nothing under it encodes or does I/O.
+struct Pending {
+    /// Unflushed frames, in commit order.
+    frames: Vec<Frame>,
+    /// Frames appended since the service's birth — the logical
+    /// position, exact under `lock_all` (appends hold a commit lock).
+    appended: u64,
+    /// Logical positions where a snapshot asked for a segment
+    /// boundary, ascending.
+    cuts: Vec<u64>,
+    /// The first I/O error, which stopped the journal: from then on
+    /// appends only count.
+    failed: Option<String>,
+}
+
+/// The flush side: held for the whole of one flush, so concurrent
+/// barriers serialise their segment I/O.
+struct Writer {
+    seg: Seg,
+    /// Logical position after the last fsynced frame.
+    pos: u64,
+}
+
+/// Handle to a live journal, owned by the [`Service`] (which appends)
+/// and reached by the HTTP front end through
+/// [`Service::journal`](crate::Service::journal) (which barriers,
+/// compacts, and reports lag).
+pub struct Journal {
     dir: PathBuf,
     compact_every: u64,
-    /// Frames durably on disk (logical position after the last fsync).
+    pending: Mutex<Pending>,
+    writer: Mutex<Writer>,
+    /// `Writer::pos`, readable without waiting for a flush.
     durable: AtomicU64,
     /// Journal bytes written since the last compaction — the
     /// auto-compaction trigger.
@@ -206,46 +239,26 @@ struct Shared {
     appends: Arc<alid_obs::Counter>,
     bytes: Arc<alid_obs::Counter>,
     fsync_seconds: Arc<alid_obs::Histogram>,
-}
-
-struct JournalInner {
-    shared: Arc<Shared>,
     compactions: Arc<alid_obs::Counter>,
-    tx: Mutex<Sender<Msg>>,
-    /// Frames appended (enqueued) since the service's birth — the
-    /// logical position. Bumped under the mutation's commit lock, so
-    /// under `lock_all` it is exact (no appender can be in flight).
-    appended: AtomicU64,
-    writer: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for JournalInner {
-    fn drop(&mut self) {
-        if let Ok(tx) = self.tx.lock() {
-            let _ = tx.send(Msg::Shutdown);
-        }
-        let handle = self.writer.lock().ok().and_then(|mut w| w.take());
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Handle to a live journal: cheap to clone, shared between the
-/// [`Service`] (which appends) and the HTTP front end (which
-/// barriers, compacts, and reports lag).
-#[derive(Clone)]
-pub struct Journal {
-    inner: Arc<JournalInner>,
 }
 
 impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Journal")
-            .field("dir", &self.inner.shared.dir)
+            .field("dir", &self.dir)
             .field("appended", &self.appended())
             .field("durable", &self.durable())
             .finish()
+    }
+}
+
+impl Drop for Journal {
+    /// Flushes what is still pending, best effort. A lock poisoned by
+    /// an earlier panic skips the flush, so dropping never panics.
+    fn drop(&mut self) {
+        if !self.writer.is_poisoned() && !self.pending.is_poisoned() {
+            let _ = self.barrier();
+        }
     }
 }
 
@@ -253,32 +266,99 @@ impl Journal {
     /// Frames appended since the service's birth (the logical
     /// position; includes frames not yet fsynced).
     pub fn appended(&self) -> u64 {
-        self.inner.appended.load(Ordering::SeqCst)
+        self.pending.lock().expect("journal pending").appended
     }
 
     /// Frames durably fsynced to disk.
     pub fn durable(&self) -> u64 {
-        self.inner.shared.durable.load(Ordering::SeqCst)
+        self.durable.load(Ordering::SeqCst)
     }
 
     /// Appended-but-not-yet-fsynced frames — the durability lag
-    /// `/healthz` reports. Zero after any [`Self::barrier`].
+    /// `/healthz` reports.
     pub fn lag(&self) -> u64 {
         self.appended().saturating_sub(self.durable())
     }
 
-    /// Blocks until every frame appended before this call is fsynced.
-    /// Concurrent barriers batch into one group commit (one fsync
-    /// covers them all). Returns immediately if the writer has died.
-    pub fn barrier(&self) {
-        let (done_tx, done_rx) = mpsc::sync_channel(1);
-        let sent = {
-            let tx = self.inner.tx.lock().expect("journal tx");
-            tx.send(Msg::Barrier(done_tx)).is_ok()
-        };
-        if sent {
-            let _ = done_rx.recv();
+    /// Writes and fsyncs every frame appended before this call, on the
+    /// caller's thread, opening a fresh segment at each pending
+    /// snapshot cut and once a segment reaches `compact_every`.
+    /// Concurrent barriers serialise on the writer lock; one that
+    /// waited finds its frames already flushed by the barrier ahead
+    /// of it, so they share one fsync.
+    ///
+    /// # Errors
+    /// The I/O error of a failed write, fsync or segment creation. The
+    /// first one stops the journal: every later barrier fails with an
+    /// error naming it, and appends keep counting positions but drop
+    /// their frames.
+    pub fn barrier(&self) -> std::io::Result<()> {
+        let mut w = self.writer.lock().expect("journal writer");
+        // alid-lint: allow(block-under-lock) -- the writer lock exists to serialise segment I/O; no commit path takes it, so only concurrent barriers wait here
+        let flushed = self.write_pending(&mut w);
+        if let Err(e) = &flushed {
+            let mut p = self.pending.lock().expect("journal pending");
+            p.failed.get_or_insert_with(|| e.to_string());
+            p.frames.clear();
+            p.cuts.clear();
         }
+        flushed
+    }
+
+    /// Takes every pending frame and cut and writes the frames (the
+    /// positions from `w.pos` on), opening the next segment at each
+    /// cut: its first position is the cut, so the segments below it
+    /// become deletable.
+    fn write_pending(&self, w: &mut Writer) -> std::io::Result<()> {
+        let (frames, cuts) = {
+            let mut p = self.pending.lock().expect("journal pending");
+            if let Some(reason) = &p.failed {
+                let reason = format!("journal stopped by an earlier I/O error: {reason}");
+                return Err(std::io::Error::other(reason));
+            }
+            (std::mem::take(&mut p.frames), std::mem::take(&mut p.cuts))
+        };
+        let mut frames = frames.into_iter();
+        for cut in cuts {
+            let below = cut.saturating_sub(w.pos) as usize;
+            self.write_frames(w, frames.by_ref().take(below))?;
+            w.seg = open_segment(&self.dir, w.seg.seq + 1, w.pos)?;
+        }
+        self.write_frames(w, frames)
+    }
+
+    /// Appends `frames` to the open segment with one `write` and one
+    /// `fsync` — first rotating to a fresh segment if this one has
+    /// reached `compact_every` — then publishes the durable position.
+    fn write_frames(
+        &self,
+        w: &mut Writer,
+        frames: impl Iterator<Item = Frame>,
+    ) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        let mut n = 0u64;
+        for frame in frames {
+            encode_frame(&mut buf, &frame.payload());
+            n += 1;
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        if self.compact_every > 0 && w.seg.written >= self.compact_every {
+            w.seg = open_segment(&self.dir, w.seg.seq + 1, w.pos)?;
+        }
+        {
+            let _fsync = self.fsync_seconds.start_timer();
+            w.seg.file.write_all(&buf)?;
+            w.seg.file.sync_all()?;
+        }
+        w.seg.written += buf.len() as u64;
+        w.pos += n;
+        self.appends.add(n);
+        self.bytes.add(buf.len() as u64);
+        self.since_compaction.fetch_add(buf.len() as u64, Ordering::SeqCst);
+        self.durable.store(w.pos, Ordering::SeqCst);
+        Ok(())
     }
 
     /// Whether enough journal bytes accumulated since the last
@@ -286,41 +366,41 @@ impl Journal {
     /// ingest path's auto-compaction trigger; always `false` when
     /// `compact_every` is 0).
     pub fn needs_compaction(&self) -> bool {
-        self.inner.shared.compact_every > 0
-            && self.inner.shared.since_compaction.load(Ordering::SeqCst)
-                >= self.inner.shared.compact_every
+        self.compact_every > 0 && self.since_compaction.load(Ordering::SeqCst) >= self.compact_every
     }
 
     /// Captures the snapshot cut: the exact logical position the
-    /// snapshot covers, plus a non-blocking rotation request so the
-    /// cut lands on a segment boundary (making the covered segments
-    /// deletable by [`Self::truncate_below`]).
+    /// snapshot covers, recorded as a segment boundary for the next
+    /// flush (making the covered segments deletable by
+    /// [`Self::truncate_below`]).
     ///
     /// Must be called while the caller holds the service's `lock_all`
     /// cut: every append happens under a shard lock, so no append can
-    /// be in flight and the position read is exact. Deliberately
-    /// fire-and-forget — waiting for the writer here would block I/O
-    /// under every service lock.
+    /// be in flight and the position read is exact. Does no I/O, which
+    /// would block under every service lock.
     pub(crate) fn rotate_for_cut(&self) -> u64 {
-        let cut = self.inner.appended.load(Ordering::SeqCst);
-        let tx = self.inner.tx.lock().expect("journal tx");
-        let _ = tx.send(Msg::Rotate);
+        let mut p = self.pending.lock().expect("journal pending");
+        let cut = p.appended;
+        if p.failed.is_none() {
+            p.cuts.push(cut);
+        }
         cut
     }
 
     /// Deletes every closed segment whose frames all lie below
     /// `cut_pos` (covered by the snapshot just written) and returns
     /// the bytes freed. The newest segment is never touched — the
-    /// writer owns it. Call after the snapshot is durably renamed
-    /// into place; a crash in between is safe either way, because
-    /// replay skips frames below the snapshot's position.
+    /// next flush appends to it. Call after the snapshot is durably
+    /// renamed into place and a barrier has flushed past the cut; a
+    /// crash in between is safe either way, because replay skips
+    /// frames below the snapshot's position.
     pub fn truncate_below(&self, cut_pos: u64) -> u64 {
-        let Ok(segments) = list_segments(&self.inner.shared.dir) else { return 0 };
+        let Ok(segments) = list_segments(&self.dir) else { return 0 };
         let mut freed = 0u64;
         for pair in segments.windows(2) {
             // A segment's frames end where the next one begins: it is
             // fully covered iff its successor starts at or below the
-            // cut. An unreadable successor header (the writer may be
+            // cut. An unreadable successor header (a flush may be
             // mid-create) just means "don't delete yet" — the next
             // compaction will.
             let Some(next_first) = read_first_pos(&pair[1].1) else { continue };
@@ -332,35 +412,36 @@ impl Journal {
                 }
             }
         }
-        self.inner.compactions.inc();
-        self.inner.shared.since_compaction.store(0, Ordering::SeqCst);
+        self.compactions.inc();
+        self.since_compaction.store(0, Ordering::SeqCst);
         freed
     }
 
     /// Journals one admission. Called by `Service::ingest` while the
-    /// shard and placement locks are held, so the channel order
+    /// shard and placement locks are held, so the pending order
     /// agrees with the commit order.
     pub(crate) fn append_admit(&self, id: u64, shard: u32, v: &[f64]) {
-        self.push(Msg::Admit { id, shard, v: v.to_vec() });
+        self.push(Frame::Admit { id, shard, v: v.to_vec() });
     }
 
     /// Journals one shard's drain (called under that shard's lock).
     pub(crate) fn append_apply(&self, shard: u32, upto: u64) {
-        self.push(Msg::Apply { shard, upto });
+        self.push(Frame::Apply { shard, upto });
     }
 
     /// Journals one shard's forced sweep (called under that shard's
     /// lock).
     pub(crate) fn append_sweep(&self, shard: u32, upto: u64) {
-        self.push(Msg::Sweep { shard, upto });
+        self.push(Frame::Sweep { shard, upto });
     }
 
-    fn push(&self, msg: Msg) {
-        self.inner.appended.fetch_add(1, Ordering::SeqCst);
-        let tx = self.inner.tx.lock().expect("journal tx");
-        // A send can only fail once the writer died (I/O panic); the
-        // frame is dropped and the lag surfaces on /healthz.
-        let _ = tx.send(msg);
+    fn push(&self, frame: Frame) {
+        let mut p = self.pending.lock().expect("journal pending");
+        p.appended += 1;
+        // Once stopped, the frame is dropped; /healthz shows the lag.
+        if p.failed.is_none() {
+            p.frames.push(frame);
+        }
     }
 }
 
@@ -410,7 +491,7 @@ fn read_first_pos(path: &Path) -> Option<u64> {
     Some(u64::from_le_bytes(hdr[12..20].try_into().ok()?))
 }
 
-/// The writer thread's open segment.
+/// The open segment a flush appends to.
 struct Seg {
     file: File,
     seq: u64,
@@ -445,108 +526,6 @@ fn encode_frame(buf: &mut Vec<u8>, payload: &Json) {
     buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
     buf.extend_from_slice(&fnv1a32(&body).to_le_bytes());
     buf.extend_from_slice(&body);
-}
-
-/// Writes and fsyncs the accumulated batch, then publishes the new
-/// durable position. One call per group commit: N queued mutations
-/// cost one `write` + one `fsync`.
-fn commit_batch(
-    shared: &Shared,
-    seg: &mut Seg,
-    buf: &mut Vec<u8>,
-    frames: &mut u64,
-    pos: &mut u64,
-) {
-    if buf.is_empty() {
-        return;
-    }
-    {
-        let _fsync = shared.fsync_seconds.start_timer();
-        seg.file.write_all(buf).expect("journal segment write");
-        seg.file.sync_all().expect("journal segment fsync");
-    }
-    seg.written += buf.len() as u64;
-    *pos += *frames;
-    shared.appends.add(*frames);
-    shared.bytes.add(buf.len() as u64);
-    shared.since_compaction.fetch_add(buf.len() as u64, Ordering::SeqCst);
-    shared.durable.store(*pos, Ordering::SeqCst);
-    buf.clear();
-    *frames = 0;
-}
-
-/// Closes the current segment and opens its successor, whose first
-/// frame will be logical position `pos`.
-fn next_segment(shared: &Shared, seg: Seg, pos: u64) -> Seg {
-    let seq = seg.seq + 1;
-    drop(seg);
-    open_segment(&shared.dir, seq, pos).expect("journal segment rotate")
-}
-
-/// The group-commit writer loop: block on one message, drain
-/// everything else queued, encode, write + fsync once, answer
-/// barriers, rotate when the segment outgrows its bound.
-fn writer_loop(shared: &Shared, rx: &Receiver<Msg>, mut seg: Seg, mut pos: u64) {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let Ok(first) = rx.recv() else { return };
-        let mut batch = vec![first];
-        while let Ok(more) = rx.try_recv() {
-            batch.push(more);
-        }
-        let mut frames = 0u64;
-        let mut barriers: Vec<SyncSender<()>> = Vec::new();
-        let mut shutdown = false;
-        for msg in batch {
-            let payload = match msg {
-                Msg::Barrier(done) => {
-                    barriers.push(done);
-                    continue;
-                }
-                Msg::Shutdown => {
-                    shutdown = true;
-                    continue;
-                }
-                Msg::Rotate => {
-                    // Frames queued before the rotation belong to the
-                    // closing segment; land them first.
-                    commit_batch(shared, &mut seg, &mut buf, &mut frames, &mut pos);
-                    seg = next_segment(shared, seg, pos);
-                    continue;
-                }
-                Msg::Admit { id, shard, v } => Json::object([
-                    ("t", "a".to_json()),
-                    ("id", Json::UInt(id)),
-                    ("shard", Json::UInt(u64::from(shard))),
-                    ("v", Json::Arr(v.iter().map(|&x| Json::Num(x)).collect())),
-                ]),
-                Msg::Apply { shard, upto } => Json::object([
-                    ("t", "d".to_json()),
-                    ("shard", Json::UInt(u64::from(shard))),
-                    ("upto", Json::UInt(upto)),
-                ]),
-                Msg::Sweep { shard, upto } => Json::object([
-                    ("t", "s".to_json()),
-                    ("shard", Json::UInt(u64::from(shard))),
-                    ("upto", Json::UInt(upto)),
-                ]),
-            };
-            encode_frame(&mut buf, &payload);
-            frames += 1;
-        }
-        commit_batch(shared, &mut seg, &mut buf, &mut frames, &mut pos);
-        if shared.compact_every > 0 && seg.written >= shared.compact_every {
-            seg = next_segment(shared, seg, pos);
-        }
-        // Barriers answer only after the batch fsync above: an acked
-        // barrier means every earlier frame is durable.
-        for done in barriers {
-            let _ = done.send(());
-        }
-        if shutdown {
-            return;
-        }
-    }
 }
 
 fn corrupt(path: &Path, offset: u64, reason: impl Into<String>) -> JournalError {
@@ -628,11 +607,11 @@ fn apply_frame(
         }
         "d" => {
             let upto = frame_u64(frame, "upto").map_err(&fail)?;
-            service.replay_apply(shard as usize, upto).map(|_| ()).map_err(&fail)
+            service.replay_apply(shard as usize, upto).map_err(&fail)
         }
         "s" => {
             let upto = frame_u64(frame, "upto").map_err(&fail)?;
-            service.replay_sweep(shard as usize, upto).map(|_| ()).map_err(&fail)
+            service.replay_sweep(shard as usize, upto).map_err(&fail)
         }
         other => Err(fail(format!("unknown frame type {other:?}"))),
     }
@@ -640,8 +619,8 @@ fn apply_frame(
 
 /// Replays the journal in `cfg.dir` into `service` from logical
 /// position `since_pos` (the restored snapshot's embedded position;
-/// 0 for a fresh service), then opens a writer on a fresh segment and
-/// returns the live [`Journal`].
+/// 0 for a fresh service), then opens a fresh segment and returns the
+/// live [`Journal`].
 ///
 /// Call *before* [`Service::set_journal`](crate::Service::set_journal)
 /// — the service must not re-journal its own replay. Frames below
@@ -737,9 +716,17 @@ pub fn recover_and_open(
         }
     }
     let registry = service.metrics_registry();
-    let shared = Arc::new(Shared {
-        dir: cfg.dir.clone(),
+    let seg = open_segment(&cfg.dir, last_seq.map_or(0, |s| s + 1), expected)?;
+    Ok(Journal {
+        dir: cfg.dir,
         compact_every: cfg.compact_every,
+        pending: Mutex::new(Pending {
+            frames: Vec::new(),
+            appended: expected,
+            cuts: Vec::new(),
+            failed: None,
+        }),
+        writer: Mutex::new(Writer { seg, pos: expected }),
         durable: AtomicU64::new(expected),
         since_compaction: AtomicU64::new(0),
         appends: registry.counter(
@@ -757,29 +744,11 @@ pub fn recover_and_open(
             "Wall time of one group-commit write+fsync batch",
             &[],
         ),
-    });
-    let compactions = registry.counter(
-        "alid_service_journal_compactions_total",
-        "Compactions folding closed journal segments into a snapshot",
-        &[],
-    );
-    let seg = open_segment(&cfg.dir, last_seq.map_or(0, |s| s + 1), expected)?;
-    let (tx, rx) = mpsc::channel();
-    let writer = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("alid-journal-writer".into())
-            .spawn(move || writer_loop(&shared, &rx, seg, expected))
-            .map_err(JournalError::Io)?
-    };
-    Ok(Journal {
-        inner: Arc::new(JournalInner {
-            shared,
-            compactions,
-            tx: Mutex::new(tx),
-            appended: AtomicU64::new(expected),
-            writer: Mutex::new(Some(writer)),
-        }),
+        compactions: registry.counter(
+            "alid_service_journal_compactions_total",
+            "Compactions folding closed journal segments into a snapshot",
+            &[],
+        ),
     })
 }
 
@@ -847,9 +816,9 @@ mod tests {
         let dir = temp_dir("replay");
         let live = journaled_service(&dir, 3);
         run_history(&live, 50);
-        live.journal().expect("journal attached").barrier();
+        live.journal().expect("journal attached").barrier().expect("flush");
         let live_bytes = snapshot::snapshot_bytes(&live);
-        drop(live); // shuts the writer down cleanly
+        drop(live); // flushes and closes the journal
 
         let cfg = ServiceConfig::new(2, 3, crate::service::tests::test_params()).with_batch(8);
         let mut fresh = Service::new(cfg);
@@ -872,7 +841,7 @@ mod tests {
         let dir = temp_dir("freed");
         let live = journaled_service(&dir, 2);
         run_history(&live, 30);
-        live.journal().expect("journal attached").barrier();
+        live.journal().expect("journal attached").barrier().expect("flush");
         let live_bytes = snapshot::snapshot_bytes(&live);
         drop(live);
         let seg = segment_path(&dir, 0);
@@ -910,7 +879,7 @@ mod tests {
         for v in &data {
             live.ingest(v);
         }
-        live.journal().expect("journal").barrier();
+        live.journal().expect("journal").barrier().expect("flush");
         drop(live);
         // Tear the final frame: chop a few bytes off the only segment.
         let seg = segment_path(&dir, 0);
@@ -937,7 +906,7 @@ mod tests {
         for v in items(4) {
             live.ingest(&v);
         }
-        live.journal().expect("journal").barrier();
+        live.journal().expect("journal").barrier().expect("flush");
         drop(live);
         // Flip one payload byte of the first frame.
         let seg = segment_path(&dir, 0);
@@ -968,11 +937,11 @@ mod tests {
             live.ingest(&v);
         }
         live.drain();
-        let journal = live.journal().expect("journal").clone();
-        journal.barrier();
+        let journal = live.journal().expect("journal");
+        journal.barrier().expect("flush");
         let cut = journal.rotate_for_cut();
         assert!(cut > 0);
-        journal.barrier(); // writer has processed the rotation
+        journal.barrier().expect("flush"); // the flush has rotated at the cut
         let freed = journal.truncate_below(cut);
         assert!(freed > 0, "the closed segment must be deleted");
         let segs = list_segments(&dir).expect("list");
@@ -1000,7 +969,7 @@ mod tests {
             live.ingest(&v);
         }
         let journal = live.journal().expect("journal");
-        journal.barrier();
+        journal.barrier().expect("flush");
         assert_eq!(journal.appended(), 10);
         assert_eq!(journal.durable(), 10);
         assert_eq!(journal.lag(), 0);
@@ -1019,7 +988,7 @@ mod tests {
         for v in items(6) {
             live.ingest(&v);
         }
-        live.journal().expect("journal").barrier();
+        live.journal().expect("journal").barrier().expect("flush");
         drop(live);
         // Claim the snapshot is *behind* the journal's start: frames
         // 0.. exist but recovery expects to begin past them — fine.
@@ -1053,5 +1022,89 @@ mod tests {
             .expect_err("a position gap must refuse recovery");
         assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Recovers a two-shard service from `segment`, written as the only
+    /// segment of a directory of its own (recovery truncates torn tails
+    /// in place), and returns the recovered state: its snapshot bytes
+    /// and the journal's logical position.
+    fn recover_segment(segment: &[u8]) -> Result<(Vec<u8>, u64), JournalError> {
+        let dir = temp_dir("trial");
+        fs::write(segment_path(&dir, 0), segment).expect("write the trial segment");
+        let cfg = ServiceConfig::new(2, 2, crate::service::tests::test_params()).with_batch(8);
+        let svc = Service::new(cfg);
+        let state = recover_and_open(JournalConfig { dir: dir.clone(), compact_every: 0 }, &svc, 0)
+            .map(|journal| (snapshot::snapshot_bytes(&svc), journal.appended()));
+        let _ = fs::remove_dir_all(&dir);
+        state
+    }
+
+    /// The corruption matrix: a recorded segment holding all three
+    /// frame kinds, cut at every byte offset and with one bit flipped
+    /// at every byte offset. A cut recovers to the last complete frame;
+    /// a flip is refused with a positioned error or recovers a prefix
+    /// of the recorded history; no trial panics.
+    #[test]
+    fn every_truncation_and_bit_flip_recovers_a_prefix_or_is_refused() {
+        let dir = temp_dir("matrix");
+        let live = journaled_service(&dir, 2);
+        for chunk in items(8).chunks(4) {
+            live.ingest_batch(chunk.iter().map(Vec::as_slice));
+            live.drain();
+        }
+        live.sweep();
+        for v in items(2) {
+            live.ingest(&v);
+        }
+        drop(live);
+        let segment = fs::read(segment_path(&dir, 0)).expect("segment");
+        let _ = fs::remove_dir_all(&dir);
+
+        // The oracle: the state recovered at each frame boundary.
+        let mut bounds = vec![SEGMENT_HEADER_LEN];
+        let mut kinds = Vec::new();
+        let mut end = SEGMENT_HEADER_LEN;
+        while end < segment.len() {
+            let len = u32::from_le_bytes(segment[end..end + 4].try_into().expect("len")) as usize;
+            let payload = &segment[end + FRAME_HEADER_LEN..end + FRAME_HEADER_LEN + len];
+            let frame = bin::decode(payload).expect("recorded frame decodes");
+            kinds.push(frame.get("t").and_then(Json::as_str).expect("type tag").to_string());
+            end += FRAME_HEADER_LEN + len;
+            bounds.push(end);
+        }
+        assert_eq!(end, segment.len(), "the recorded segment ends on a frame boundary");
+        for kind in ["a", "d", "s"] {
+            assert!(kinds.iter().any(|k| k == kind), "no {kind:?} frame in {kinds:?}");
+        }
+        let prefixes: Vec<(Vec<u8>, u64)> = bounds
+            .iter()
+            .map(|&b| recover_segment(&segment[..b]).expect("a frame boundary recovers"))
+            .collect();
+        for (frames, (_, pos)) in prefixes.iter().enumerate() {
+            assert_eq!(*pos, frames as u64);
+        }
+
+        for cut in 0..=segment.len() {
+            // A cut inside the header drops the segment: zero frames.
+            let complete = bounds.iter().filter(|&&b| b <= cut).count().saturating_sub(1);
+            let state = recover_segment(&segment[..cut])
+                .unwrap_or_else(|e| panic!("a cut at byte {cut} must recover: {e}"));
+            assert!(
+                state == prefixes[complete],
+                "a cut at byte {cut} must recover {complete} frames"
+            );
+        }
+        for offset in 0..segment.len() {
+            let mut flipped = segment.clone();
+            flipped[offset] ^= 1 << (offset % 8);
+            match recover_segment(&flipped) {
+                Ok(state) => assert!(
+                    prefixes.contains(&state),
+                    "a flip at byte {offset} recovered a state off the recorded history"
+                ),
+                Err(JournalError::Corrupt { .. } | JournalError::Replay { .. }) => {}
+                Err(e) => panic!("a flip at byte {offset} must not fail with {e}"),
+            }
+        }
     }
 }

@@ -2,8 +2,7 @@
 //! drain, and cross-shard queries (raw fragment ranking and the
 //! merged view's full PALID reduce — see [`crate::reduce`]).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -527,7 +526,7 @@ impl Service {
         let id = placements.len() as u64;
         placements.push(Placement { shard: s as u32, local });
         if let Some(journal) = &self.journal {
-            // Both commit locks still held: the journal's channel
+            // Both commit locks still held: the journal's pending
             // order agrees with the admission order.
             journal.append_admit(id, s as u32, v);
         }
@@ -555,29 +554,11 @@ impl Service {
     pub fn drain(&self) -> DrainReport {
         self.obs.drains.inc();
         let _drain_timer = self.obs.drain_seconds.start_timer();
-        let reports = self.cfg.params.exec.map_indexed(self.shards.len(), |s| {
-            let mut shard = self.shard(s);
-            let mut report = DrainReport::default();
-            while let Some(v) = shard.queue.pop_front() {
-                report.applied += 1;
-                // alid-lint: allow(exec-under-lock) -- the sweep this may trigger runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
-                // alid-lint: allow(panic-under-lock) -- queued vectors were dim-checked at ingest admission; push's dim assert cannot fire here
-                match shard.stream.push(&v) {
-                    StreamUpdate::Attached(_) => report.attached += 1,
-                    StreamUpdate::Buffered => report.buffered += 1,
-                    StreamUpdate::SweptNewClusters(k) => report.promoted += k,
-                }
-            }
-            if report.applied > 0 {
-                if let Some(journal) = &self.journal {
-                    // Shard lock still held: the frame records the
-                    // shard-local item count this drain reached, the
-                    // anchor replay validates against.
-                    journal.append_apply(s as u32, shard.stream.len() as u64);
-                }
-            }
-            report
-        });
+        let reports = self
+            .cfg
+            .params
+            .exec
+            .map_indexed(self.shards.len(), |s| self.apply_queued(s, u64::MAX).0);
         let mut total = DrainReport::default();
         for r in reports {
             total.applied += r.applied;
@@ -602,19 +583,7 @@ impl Service {
             .cfg
             .params
             .exec
-            .map_indexed(self.shards.len(), |s| {
-                let mut shard = self.shard(s);
-                // alid-lint: allow(exec-under-lock) -- the sweep runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
-                // alid-lint: allow(panic-under-lock) -- sweep's asserts are internal invariants over ingest-validated data; a failure means corrupted shard state, where fail-fast poisoning beats serving wrong clusters
-                let promoted = shard.stream.sweep();
-                if let Some(journal) = &self.journal {
-                    // Shard lock still held: the frame records the item
-                    // count this sweep ran at, the anchor replay
-                    // validates against.
-                    journal.append_sweep(s as u32, shard.stream.len() as u64);
-                }
-                promoted
-            })
+            .map_indexed(self.shards.len(), |s| self.sweep_shard(s))
             .into_iter()
             .sum();
         // A sweep can attach pending items even when it promotes
@@ -623,57 +592,80 @@ impl Service {
         promoted
     }
 
-    /// Journal-replay form of one shard's slice of [`Self::drain`]:
-    /// applies queued items in FIFO order until the shard holds
-    /// exactly `upto` items, erroring if the journal and the shard
-    /// disagree (already past `upto`, or the queue runs dry first).
-    /// Single-threaded on purpose — recovery replays frames in
-    /// journal order, one at a time.
-    pub(crate) fn replay_apply(&self, s: usize, upto: u64) -> Result<usize, String> {
+    /// One shard's slice of [`Self::drain`]: applies queued items in
+    /// FIFO order until the shard holds `upto` items or its queue is
+    /// empty, and journals the `Apply` frame when it applied anything.
+    /// Returns the report and the shard's item count after.
+    fn apply_queued(&self, s: usize, upto: u64) -> (DrainReport, u64) {
         let mut shard = self.shard(s);
-        if shard.stream.len() as u64 > upto {
-            return Err(format!(
-                "shard {s} already holds {} items, drain frame says {upto}",
-                shard.stream.len()
-            ));
-        }
-        let mut applied = 0usize;
+        let mut report = DrainReport::default();
         while (shard.stream.len() as u64) < upto {
-            let Some(v) = shard.queue.pop_front() else {
-                return Err(format!(
-                    "shard {s} queue ran dry at {} items replaying a drain to {upto}",
-                    shard.stream.len()
-                ));
-            };
-            applied += 1;
-            // alid-lint: allow(exec-under-lock) -- same nested peel phase as the live drain above; a phase waiter helps only its own phase's jobs, so it cannot deadlock
-            // alid-lint: allow(panic-under-lock) -- replayed vectors were dim-checked when their admit frame decoded; push's dim assert cannot fire here
-            let _ = shard.stream.push(&v);
+            let Some(v) = shard.queue.pop_front() else { break };
+            report.applied += 1;
+            // alid-lint: allow(exec-under-lock) -- the sweep this may trigger runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
+            // alid-lint: allow(panic-under-lock) -- queued vectors were dim-checked at ingest admission, or when their admit frame decoded on replay; push's dim assert cannot fire here
+            match shard.stream.push(&v) {
+                StreamUpdate::Attached(_) => report.attached += 1,
+                StreamUpdate::Buffered => report.buffered += 1,
+                StreamUpdate::SweptNewClusters(k) => report.promoted += k,
+            }
         }
-        drop(shard);
-        if applied > 0 {
-            self.epoch.fetch_add(1, Ordering::SeqCst);
+        let held = shard.stream.len() as u64;
+        if report.applied > 0 {
+            if let Some(journal) = &self.journal {
+                // Shard lock still held: the frame records the
+                // shard-local item count this drain reached, the
+                // anchor replay validates against.
+                journal.append_apply(s as u32, held);
+            }
         }
-        Ok(applied)
+        (report, held)
     }
 
-    /// Journal-replay form of one shard's slice of [`Self::sweep`],
-    /// validated against the item count the live sweep ran at — a
-    /// mismatch means the journal belongs to a different history.
-    pub(crate) fn replay_sweep(&self, s: usize, upto: u64) -> Result<usize, String> {
+    /// One shard's slice of [`Self::sweep`]: runs the forced sweep and
+    /// journals the `Sweep` frame.
+    fn sweep_shard(&self, s: usize) -> usize {
         let mut shard = self.shard(s);
-        if shard.stream.len() as u64 != upto {
-            return Err(format!(
-                "shard {s} holds {} items, sweep frame ran at {upto}",
-                shard.stream.len()
-            ));
-        }
-        // alid-lint: allow(exec-under-lock) -- same nested peel phase as the live sweep above; a phase waiter helps only its own phase's jobs, so it cannot deadlock
-        // alid-lint: allow(panic-under-lock) -- same internal-invariant asserts as the live sweep path above
+        // alid-lint: allow(exec-under-lock) -- the sweep runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
+        // alid-lint: allow(panic-under-lock) -- sweep's asserts are internal invariants over ingest-validated data; a failure means corrupted shard state, where fail-fast poisoning beats serving wrong clusters
         let promoted = shard.stream.sweep();
-        drop(shard);
+        if let Some(journal) = &self.journal {
+            // Shard lock still held: the frame records the item count
+            // this sweep ran at, the anchor replay validates against.
+            journal.append_sweep(s as u32, shard.stream.len() as u64);
+        }
+        promoted
+    }
+
+    /// Journal replay of one drain frame: [`Self::drain`]'s per-shard
+    /// code, stopped at `upto` items, erroring unless the shard ends
+    /// at exactly `upto` (already past it, or the queue ran dry). No
+    /// journal is attached during replay, so nothing re-journals.
+    pub(crate) fn replay_apply(&self, s: usize, upto: u64) -> Result<(), String> {
+        let (report, held) = self.apply_queued(s, upto);
+        if report.applied > 0 {
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+        }
+        if held != upto {
+            return Err(format!("shard {s} holds {held} items replaying a drain to {upto}"));
+        }
+        Ok(())
+    }
+
+    /// Journal replay of one sweep frame, validated against the item
+    /// count the live sweep ran at — a mismatch means the journal
+    /// belongs to a different history.
+    pub(crate) fn replay_sweep(&self, s: usize, upto: u64) -> Result<(), String> {
+        let held = {
+            let shard = self.shard(s);
+            shard.stream.len() as u64
+        };
+        if held != upto {
+            return Err(format!("shard {s} holds {held} items, sweep frame ran at {upto}"));
+        }
+        self.sweep_shard(s);
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        Ok(promoted)
+        Ok(())
     }
 
     /// The current cluster assignment of admitted item `id`: `None`
@@ -767,39 +759,12 @@ impl Service {
 
     /// The `k` densest clusters service-wide — the PALID reduction
     /// rule (Fig. 5's "maximum density wins") applied across shards:
-    /// candidates are ranked by density, ties broken by `(shard,
-    /// cluster)` so the merge is deterministic. Taken over the same
-    /// consistent cut as [`Self::summaries`], via a bounded selection
-    /// (a size-`k` heap), so `k ≪ clusters` queries cost
-    /// `O(clusters · log k)` instead of a service-wide clone and full
-    /// sort.
+    /// the [`Self::summaries`] cut ranked by density, ties broken by
+    /// `(shard, cluster)` so the merge is deterministic.
     pub fn top_k(&self, k: usize) -> Vec<ClusterSummary> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let shards = self.lock_shards();
-        // Min-heap of the best k seen: the root is the *worst* of the
-        // current best, evicted whenever a better candidate arrives.
-        let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::new();
-        for (s, shard) in shards.iter().enumerate() {
-            for (c, cluster) in shard.stream.clusters().iter().enumerate() {
-                let entry = Ranked(ClusterSummary {
-                    cluster: ClusterRef { shard: s as u32, cluster: c as u32 },
-                    size: cluster.members.len(),
-                    density: cluster.density,
-                });
-                if heap.len() < k {
-                    heap.push(Reverse(entry));
-                } else if heap.peek().is_some_and(|Reverse(worst)| entry > *worst) {
-                    heap.pop();
-                    heap.push(Reverse(entry));
-                }
-            }
-        }
-        drop(shards);
-        let mut out: Vec<ClusterSummary> =
-            heap.into_iter().map(|Reverse(Ranked(summary))| summary).collect();
+        let mut out = self.summaries();
         out.sort_by(|a, b| b.density.total_cmp(&a.density).then_with(|| a.cluster.cmp(&b.cluster)));
+        out.truncate(k);
         out
     }
 
@@ -956,34 +921,6 @@ impl Service {
     }
 }
 
-/// [`ClusterSummary`] under the reduction rank: higher density is
-/// greater; equal densities rank the *smaller* `(shard, cluster)`
-/// greater (the deterministic tie-break).
-struct Ranked(ClusterSummary);
-
-impl PartialEq for Ranked {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for Ranked {}
-
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ranked {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .density
-            .total_cmp(&other.0.density)
-            .then_with(|| other.0.cluster.cmp(&self.0.cluster))
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1115,11 +1052,11 @@ pub(crate) mod tests {
         let _ = svc.ingest(&[1.0]);
     }
 
-    /// The bounded selection must agree with the old clone-and-sort
-    /// reduction at every k, including k = 0, k beyond the cluster
-    /// count, and the `usize::MAX` "everything" query.
+    /// `top_k` must agree with a full sort of the summaries at every
+    /// k, including k = 0, k beyond the cluster count, and the
+    /// `usize::MAX` "everything" query.
     #[test]
-    fn top_k_heap_matches_full_sort_at_every_k() {
+    fn top_k_matches_full_sort_at_every_k() {
         let svc = service(4);
         let items = two_blob_items(60);
         svc.ingest_batch(items.iter().map(Vec::as_slice));

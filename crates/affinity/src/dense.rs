@@ -54,22 +54,6 @@ impl DenseAffinity {
         Self { n, a, cost }
     }
 
-    /// Computes the full matrix with `threads` worker threads splitting
-    /// the row range (each pair still evaluated once; the symmetric
-    /// reflection is written by the owner of the smaller row index).
-    /// Cost accounting matches [`DenseAffinity::build`].
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn build_parallel(
-        ds: &Dataset,
-        kernel: &LaplacianKernel,
-        cost: Arc<CostModel>,
-        threads: usize,
-    ) -> Self {
-        Self::build_with(ds, kernel, cost, ExecPolicy::workers(threads))
-    }
-
     /// Computes the full matrix under an execution policy. Every policy
     /// produces the byte-identical matrix of [`DenseAffinity::build`]:
     /// each cell's value depends only on its row/column pair, and the
@@ -274,7 +258,8 @@ mod tests {
         let serial = DenseAffinity::build(&ds, &k, CostModel::shared());
         for threads in [1usize, 2, 3, 7] {
             let cost = CostModel::shared();
-            let par = DenseAffinity::build_parallel(&ds, &k, Arc::clone(&cost), threads);
+            let par =
+                DenseAffinity::build_with(&ds, &k, Arc::clone(&cost), ExecPolicy::workers(threads));
             for i in 0..ds.len() {
                 for j in 0..ds.len() {
                     assert_eq!(
@@ -292,7 +277,7 @@ mod tests {
     fn parallel_build_empty_dataset() {
         let ds = Dataset::new(2);
         let k = LaplacianKernel::new(1.0, LpNorm::L2);
-        let a = DenseAffinity::build_parallel(&ds, &k, CostModel::shared(), 4);
+        let a = DenseAffinity::build_with(&ds, &k, CostModel::shared(), ExecPolicy::workers(4));
         assert_eq!(a.n(), 0);
     }
 

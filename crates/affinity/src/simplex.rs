@@ -53,11 +53,6 @@ pub fn support(x: &[f64]) -> Vec<usize> {
     x.iter().enumerate().filter(|(_, &v)| v > SUPPORT_EPS).map(|(i, _)| i).collect()
 }
 
-/// Number of positions with weight above [`SUPPORT_EPS`].
-pub fn support_size(x: &[f64]) -> usize {
-    x.iter().filter(|&&v| v > SUPPORT_EPS).count()
-}
-
 /// The barycenter of `Δⁿ` (uniform weights) — the canonical start point
 /// of the full-graph dynamics (DS, IID baselines).
 pub fn barycenter(n: usize) -> Vec<f64> {
@@ -74,20 +69,8 @@ pub fn vertex(n: usize, i: usize) -> Vec<f64> {
     x
 }
 
-/// In-place invasion `x ← (1-ε)x + ε y` (Eq. 5) for a full vector `y`.
-///
-/// # Panics
-/// Panics in debug builds if lengths differ or `ε ∉ [0, 1]`.
-pub fn invade(x: &mut [f64], y: &[f64], eps: f64) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert!((0.0..=1.0).contains(&eps), "invasion share {eps} outside [0,1]");
-    for (xi, &yi) in x.iter_mut().zip(y) {
-        *xi = (1.0 - eps) * *xi + eps * yi;
-    }
-}
-
-/// In-place invasion by a *vertex*: `x ← (1-ε)x + ε s_i`. Cheaper than
-/// materialising `s_i`.
+/// In-place invasion by a *vertex*: `x ← (1-ε)x + ε s_i` (Eq. 5 with
+/// `y = s_i`), without materialising `s_i`.
 pub fn invade_vertex(x: &mut [f64], i: usize, eps: f64) {
     debug_assert!((0.0..=1.0).contains(&eps), "invasion share {eps} outside [0,1]");
     for xi in x.iter_mut() {
@@ -134,7 +117,7 @@ mod tests {
     fn barycenter_is_on_simplex() {
         let x = barycenter(7);
         assert!(is_on_simplex(&x, 1e-12));
-        assert_eq!(support_size(&x), 7);
+        assert_eq!(support(&x).len(), 7);
     }
 
     #[test]
@@ -151,22 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn invade_interpolates() {
-        let mut x = vec![1.0, 0.0];
-        invade(&mut x, &[0.0, 1.0], 0.25);
-        assert_eq!(x, vec![0.75, 0.25]);
-        assert!(is_on_simplex(&x, 1e-12));
-    }
-
-    #[test]
-    fn invade_vertex_matches_full_invade() {
-        let mut a = vec![0.5, 0.3, 0.2];
-        let mut b = a.clone();
-        invade(&mut a, &[0.0, 1.0, 0.0], 0.4);
-        invade_vertex(&mut b, 1, 0.4);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-15);
+    fn invade_vertex_interpolates_toward_the_vertex() {
+        let mut x = vec![0.5, 0.3, 0.2];
+        invade_vertex(&mut x, 1, 0.4);
+        for (got, want) in x.iter().zip([0.3, 0.58, 0.12]) {
+            assert!((got - want).abs() < 1e-15);
         }
+        assert!(is_on_simplex(&x, 1e-12));
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl SparseBuilder {
         }
     }
 
-    /// Number of undirected edges so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Evaluates the kernel on every edge and builds the CSR matrix.
     ///
     /// Cost: one kernel evaluation per undirected edge; `2|E|` stored
@@ -365,7 +360,6 @@ mod tests {
         b.add_edge(0, 0);
         b.add_edge(1, 2);
         b.add_edge(2, 1);
-        assert_eq!(b.edge_count(), 1);
         let m = b.build(&ds, &k, CostModel::shared());
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.get(0, 0), 0.0);

@@ -68,15 +68,6 @@ impl Dataset {
         self.data.extend_from_slice(row);
     }
 
-    /// Appends every point of `other`.
-    ///
-    /// # Panics
-    /// Panics if dimensionalities differ.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(other.dim, self.dim, "dimensionality mismatch");
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Number of points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -217,14 +208,5 @@ mod tests {
         let ds = Dataset::from_flat(2, vec![0.0, 1.0, 2.0, 3.0]);
         let rows: Vec<&[f64]> = ds.iter().collect();
         assert_eq!(rows, vec![&[0.0, 1.0][..], &[2.0, 3.0][..]]);
-    }
-
-    #[test]
-    fn extend_from_appends_rows() {
-        let mut a = Dataset::from_flat(1, vec![1.0]);
-        let b = Dataset::from_flat(1, vec![2.0, 3.0]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(2), &[3.0]);
     }
 }

@@ -105,13 +105,6 @@ impl AlidParams {
         self
     }
 
-    /// Replaces the dominant-cluster selection thresholds.
-    pub fn with_dominant_filter(mut self, min_density: f64, min_size: usize) -> Self {
-        self.density_threshold = min_density;
-        self.min_cluster_size = min_size;
-        self
-    }
-
     /// Replaces the execution policy.
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
@@ -148,13 +141,11 @@ mod tests {
         let p = AlidParams::new(LaplacianKernel::l2(1.0))
             .with_delta(5)
             .with_iteration_caps(3, 77)
-            .with_dominant_filter(0.5, 4)
             .with_lsh_seed(9)
             .with_exec(ExecPolicy::workers(3));
         assert_eq!(p.delta, 5);
         assert_eq!(p.max_alid_iters, 3);
         assert_eq!(p.max_lid_iters, 77);
-        assert_eq!(p.min_cluster_size, 4);
         assert_eq!(p.lsh.seed, 9);
         assert_eq!(p.exec.worker_count(), 3);
     }

@@ -29,44 +29,30 @@ use std::collections::BTreeMap;
 
 use crate::alid::detect_one;
 use crate::config::AlidParams;
-use crate::seeding::sample_seeds;
+use crate::seeding::sample_seeds_paper;
 
-/// Parallel-driver knobs.
+/// Parallel-driver knobs. The seed rule itself is the paper's
+/// (Section 4.6: buckets of more than five items, 20% sampled; see
+/// [`sample_seeds_paper`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PalidParams {
     /// Execution policy of the map phase; the worker count is the
     /// x-axis of Table 2.
     pub exec: ExecPolicy,
-    /// Minimum alive bucket size for seed sampling (paper: "> 5", i.e. 6).
-    pub min_bucket: usize,
-    /// Per-bucket sample rate (paper: 0.2).
-    pub sample_rate: f64,
     /// RNG seed for the task list.
     pub seed: u64,
-    /// Optional cap on the task list (useful for quick runs).
-    pub max_tasks: Option<usize>,
 }
 
 impl PalidParams {
-    /// Paper defaults with the given executor count.
+    /// `executors` map-phase workers and the default task-list seed.
     pub fn with_executors(executors: usize) -> Self {
         assert!(executors >= 1, "need at least one executor");
-        Self::with_exec(ExecPolicy::workers(executors))
-    }
-
-    /// Paper defaults under an explicit execution policy.
-    pub fn with_exec(exec: ExecPolicy) -> Self {
-        Self { exec, min_bucket: 6, sample_rate: 0.2, seed: 0xa11d, max_tasks: None }
-    }
-
-    /// The configured executor count.
-    pub fn executors(&self) -> usize {
-        self.exec.worker_count()
+        Self { exec: ExecPolicy::workers(executors), seed: 0xa11d }
     }
 }
 
 /// Runs PALID: samples seeds from large LSH buckets, maps ALID over them
-/// on `executors` worker threads, and reduces overlapping claims by
+/// on `pp.exec`'s workers, and reduces overlapping claims by
 /// maximum density. The output contains each surviving cluster with the
 /// members the reducer assigned to it; apply
 /// [`Clustering::dominant`] for the final selection.
@@ -77,15 +63,12 @@ pub fn palid_detect(
     cost: &Arc<CostModel>,
 ) -> Clustering {
     let index = LshIndex::build(ds, params.lsh, cost);
-    let mut seeds = sample_seeds(&index, pp.min_bucket, pp.sample_rate, pp.seed);
+    let mut seeds = sample_seeds_paper(&index, pp.seed);
     if seeds.is_empty() {
         // Degenerate/small inputs: no bucket passed the size threshold.
         // Fall back to scanning every item, which PALID's reducer still
         // collapses to one row per cluster.
         seeds = (0..ds.len() as u32).collect();
-    }
-    if let Some(cap) = pp.max_tasks {
-        seeds.truncate(cap);
     }
     let outcomes = run_mappers(ds, params, &index, &seeds, pp.exec, cost);
     reduce(ds.len(), outcomes)
@@ -233,16 +216,6 @@ mod tests {
                 seen[m as usize] = true;
             }
         }
-    }
-
-    #[test]
-    fn max_tasks_caps_the_task_list() {
-        let ds = fixture();
-        let p = params(&ds);
-        let mut pp = PalidParams::with_executors(2);
-        pp.max_tasks = Some(1);
-        let clustering = palid_detect(&ds, &p, &pp, &CostModel::shared());
-        assert!(clustering.clusters.len() <= 1);
     }
 
     #[test]

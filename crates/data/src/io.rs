@@ -1,28 +1,12 @@
-//! Dataset and ground-truth persistence.
-//!
-//! A downstream user brings their own vectors; this module gives the
-//! library a stable on-disk interchange so experiments are replayable:
-//!
-//! * **CSV** — one row per item, plain `f64` columns, for interop with
-//!   anything;
-//! * **ALBD** ("ALID binary data") — a little-endian binary format with
-//!   the ground truth embedded, for fast exact round-trips of simulator
-//!   outputs.
-//!
-//! ALBD layout: magic `ALBD`, u32 version, u64 n, u32 dim, the row-major
-//! `f64` payload, u32 cluster count, then per cluster a u32 length and
-//! the member ids, then the f64 scale hints.
+//! Dataset persistence as headerless CSV: one row per item, plain
+//! `f64` columns, for interop with anything (the `alid detect` input
+//! format).
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use alid_affinity::vector::Dataset;
-
-use crate::groundtruth::{GroundTruth, LabeledDataset};
-
-const MAGIC: &[u8; 4] = b"ALBD";
-const VERSION: u32 = 1;
 
 /// Writes `ds` as headerless CSV (one item per row).
 pub fn write_csv(path: &Path, ds: &Dataset) -> io::Result<()> {
@@ -85,103 +69,9 @@ pub fn read_csv(path: &Path) -> io::Result<Dataset> {
     ds.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty CSV"))
 }
 
-/// Writes a labelled data set in the ALBD binary format.
-pub fn write_albd(path: &Path, ds: &LabeledDataset) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    out.write_all(MAGIC)?;
-    out.write_all(&VERSION.to_le_bytes())?;
-    out.write_all(&(ds.len() as u64).to_le_bytes())?;
-    out.write_all(&(ds.data.dim() as u32).to_le_bytes())?;
-    for v in ds.data.as_flat() {
-        out.write_all(&v.to_le_bytes())?;
-    }
-    let clusters = ds.truth.clusters();
-    out.write_all(&(clusters.len() as u32).to_le_bytes())?;
-    for members in clusters {
-        out.write_all(&(members.len() as u32).to_le_bytes())?;
-        for &m in members {
-            out.write_all(&m.to_le_bytes())?;
-        }
-    }
-    out.write_all(&ds.scale.to_le_bytes())?;
-    out.write_all(&ds.noise_scale.to_le_bytes())?;
-    out.flush()
-}
-
-/// Reads an ALBD file back; the name is taken from the file stem.
-///
-/// # Errors
-/// Fails on bad magic, version, truncation or out-of-range members.
-pub fn read_albd(path: &Path) -> io::Result<LabeledDataset> {
-    let mut input = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    input.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an ALBD file"));
-    }
-    let version = read_u32(&mut input)?;
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported ALBD version {version}"),
-        ));
-    }
-    let n = read_u64(&mut input)? as usize;
-    let dim = read_u32(&mut input)? as usize;
-    if dim == 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "zero dimensionality"));
-    }
-    let mut flat = vec![0.0f64; n * dim];
-    let mut buf = [0u8; 8];
-    for v in flat.iter_mut() {
-        input.read_exact(&mut buf)?;
-        *v = f64::from_le_bytes(buf);
-    }
-    let data = Dataset::from_flat(dim, flat);
-    let cluster_count = read_u32(&mut input)? as usize;
-    let mut clusters = Vec::with_capacity(cluster_count);
-    for _ in 0..cluster_count {
-        let len = read_u32(&mut input)? as usize;
-        let mut members = Vec::with_capacity(len);
-        for _ in 0..len {
-            let m = read_u32(&mut input)?;
-            if m as usize >= n {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("member {m} out of range {n}"),
-                ));
-            }
-            members.push(m);
-        }
-        clusters.push(members);
-    }
-    input.read_exact(&mut buf)?;
-    let scale = f64::from_le_bytes(buf);
-    input.read_exact(&mut buf)?;
-    let noise_scale = f64::from_le_bytes(buf);
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "albd".to_string());
-    Ok(LabeledDataset { name, data, truth: GroundTruth::new(n, clusters), scale, noise_scale })
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ndi::ndi_with;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -216,38 +106,6 @@ mod tests {
         let path = tmp("garbage.csv");
         std::fs::write(&path, "1,two,3\n").expect("write");
         assert!(read_csv(&path).is_err());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn albd_roundtrip_is_exact() {
-        let ds = ndi_with(3, 24, 40, 5);
-        let path = tmp("roundtrip.albd");
-        write_albd(&path, &ds).expect("write");
-        let back = read_albd(&path).expect("read");
-        assert_eq!(back.data, ds.data);
-        assert_eq!(back.truth, ds.truth);
-        assert_eq!(back.scale, ds.scale);
-        assert_eq!(back.noise_scale, ds.noise_scale);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn albd_rejects_bad_magic() {
-        let path = tmp("bad.albd");
-        std::fs::write(&path, b"NOPE0000000").expect("write");
-        assert!(read_albd(&path).is_err());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn albd_rejects_truncation() {
-        let ds = ndi_with(2, 10, 10, 6);
-        let path = tmp("trunc.albd");
-        write_albd(&path, &ds).expect("write");
-        let bytes = std::fs::read(&path).expect("read bytes");
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-        assert!(read_albd(&path).is_err());
         let _ = std::fs::remove_file(path);
     }
 }

@@ -55,45 +55,6 @@ pub fn avg_f1(truth: &GroundTruth, clustering: &Clustering) -> f64 {
     total / gt.len() as f64
 }
 
-/// One true cluster's best match among the detected clusters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClusterMatch {
-    /// Index of the true cluster.
-    pub truth_index: usize,
-    /// Size of the true cluster.
-    pub truth_size: usize,
-    /// Index of the best-matching detected cluster, if any matched at
-    /// all.
-    pub detected_index: Option<usize>,
-    /// The best F1.
-    pub f1: f64,
-}
-
-/// Per-true-cluster best matches — the breakdown AVG-F averages.
-/// Useful for reporting which events/groups a method missed.
-pub fn match_report(truth: &GroundTruth, clustering: &Clustering) -> Vec<ClusterMatch> {
-    truth
-        .clusters()
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| {
-            let mut best: Option<(usize, f64)> = None;
-            for (di, d) in clustering.clusters.iter().enumerate() {
-                let score = f1(t, &d.members);
-                if score > 0.0 && best.is_none_or(|(_, b)| score > b) {
-                    best = Some((di, score));
-                }
-            }
-            ClusterMatch {
-                truth_index: ti,
-                truth_size: t.len(),
-                detected_index: best.map(|(di, _)| di),
-                f1: best.map_or(0.0, |(_, s)| s),
-            }
-        })
-        .collect()
-}
-
 /// Corpus-level precision and recall of the clustered items against the
 /// positive (ground-truth) items: precision = clustered ∩ positive /
 /// clustered, recall = clustered ∩ positive / positive. Used for the
@@ -193,20 +154,5 @@ mod tests {
         let gt = GroundTruth::new(3, vec![]);
         let det = clustering(3, vec![vec![0]]);
         assert_eq!(avg_f1(&gt, &det), 0.0);
-    }
-
-    #[test]
-    fn match_report_breaks_down_avg_f() {
-        let gt = GroundTruth::new(10, vec![vec![0, 1, 2], vec![5, 6]]);
-        let det = clustering(10, vec![vec![0, 1, 2], vec![8, 9]]);
-        let report = match_report(&gt, &det);
-        assert_eq!(report.len(), 2);
-        assert_eq!(report[0].detected_index, Some(0));
-        assert!((report[0].f1 - 1.0).abs() < 1e-12);
-        assert_eq!(report[1].detected_index, None, "cluster {{5,6}} unmatched");
-        assert_eq!(report[1].f1, 0.0);
-        // The mean of the report equals AVG-F.
-        let mean: f64 = report.iter().map(|m| m.f1).sum::<f64>() / report.len() as f64;
-        assert!((mean - avg_f1(&gt, &det)).abs() < 1e-12);
     }
 }

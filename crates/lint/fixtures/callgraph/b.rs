@@ -1,6 +1,7 @@
 //! Call-graph fixture, module B: trait dispatch — typed (exact) and
-//! untyped (merged across every implementor) — plus a shadowing
-//! `helper` that must capture B's own call sites but never A's.
+//! untyped (merged across every implementor), through a parameter, a
+//! binding or a closure parameter — plus a shadowing `helper` that
+//! must capture B's own call sites but never A's.
 
 pub struct Panel;
 
@@ -27,6 +28,14 @@ pub fn show(p: &Panel) {
 pub fn blit() {
     let v = opaque();
     v.draw();
+}
+
+pub fn show_each(panels: &[Panel]) {
+    panels.iter().for_each(|p: &Panel| p.draw());
+}
+
+pub fn blit_each(sprites: &[Sprite]) {
+    sprites.iter().for_each(|s| s.draw());
 }
 
 fn helper() {}

@@ -3,8 +3,9 @@
 //! across every scanned file becomes a node; call sites resolve by
 //! name, disambiguated where possible by *receiver type hints* — the
 //! set of type identifiers mentioned in the receiver's declaration
-//! (field type, `let` annotation, parameter type, or the return type
-//! of the call that produced it). When the receiver cannot be typed,
+//! (field type, `let` annotation, parameter type, closure parameter
+//! annotation, or the return type of the call that produced it). When
+//! the receiver cannot be typed (an unannotated closure parameter, say),
 //! a method call falls back to **merging every same-name, same-arity
 //! method in the workspace** — over-approximation by design: a false
 //! edge costs one justified `allow` downstream, a missing edge is a
@@ -255,7 +256,8 @@ impl Graph {
     }
 
     /// Typed local bindings of fn `id`: parameters, then `let`
-    /// declarations in token order (last binding before a use wins).
+    /// declarations and annotated closure parameters in token order
+    /// (last binding before a use wins).
     fn local_vars(&self, units: &[Unit], id: usize) -> Vec<(usize, String, BTreeSet<String>)> {
         let f = &self.fns[id];
         let t = &units[f.unit].lx.toks;
@@ -313,6 +315,9 @@ impl Graph {
                         vars.push((k, n, hints.clone()));
                     }
                 }
+            } else if let Some((params, close)) = closure_params(t, k) {
+                vars.extend(params.into_iter().map(|(n, h)| (k, n, h)));
+                k = close;
             }
             k += 1;
         }
@@ -962,6 +967,63 @@ pub fn matching_open(t: &[Tok], close: usize) -> usize {
         }
     }
     0
+}
+
+/// A binding and the type identifiers of its annotation.
+type TypedName = (String, BTreeSet<String>);
+
+/// The annotated parameters of a closure whose parameter list opens
+/// at token `open`, each as `(name, type hints)`, plus the index of
+/// the closing `|`. A tuple pattern's names share the hints of its
+/// annotation, as in `let`; unannotated parameters are left out, so
+/// calls on them keep the merge-all fallback. `None` unless `open` is
+/// a `|` in operand position (not a bitwise or or a pattern
+/// alternative) that closes before any `;`, `=` or brace.
+fn closure_params(t: &[Tok], open: usize) -> Option<(Vec<TypedName>, usize)> {
+    if !scan::is(&t[open], "|") || open == 0 {
+        return None;
+    }
+    let prev = t[open - 1].text.as_str();
+    let after_arrow = prev == ">" && open >= 2 && scan::is(&t[open - 2], "=");
+    if !(matches!(prev, "(" | "," | "=" | "{" | ";" | "move" | "return") || after_arrow) {
+        return None;
+    }
+    let mut params = Vec::new();
+    let mut names = Vec::new();
+    let mut hints: Option<BTreeSet<String>> = None;
+    let mut depth = 0i32;
+    for j in open + 1..t.len() {
+        let text = t[j].text.as_str();
+        match text {
+            "(" | "[" => depth += 1,
+            "<" if hints.is_some() => depth += 1,
+            ")" | "]" => depth -= 1,
+            ">" if hints.is_some() && !scan::is(&t[j - 1], "-") => depth -= 1,
+            ";" | "=" | "{" | "}" => return None,
+            ":" if depth == 0 && hints.is_none() => hints = Some(BTreeSet::new()),
+            "," | "|" if depth == 0 => {
+                if let Some(h) = hints.take() {
+                    params.extend(names.drain(..).map(|n| (n, h.clone())));
+                }
+                names.clear();
+                if text == "|" {
+                    return Some((params, j));
+                }
+            }
+            _ if t[j].kind == Kind::Ident => match &mut hints {
+                Some(h) => {
+                    h.insert(text.to_string());
+                }
+                None if text != "mut" && text != "ref" => names.push(text.to_string()),
+                None => {}
+            },
+            _ => {}
+        }
+        if depth < 0 {
+            return None;
+        }
+    }
+    None
 }
 
 /// Argument count of the call whose `(` sits at `open`: top-level

@@ -1,6 +1,7 @@
 //! Call-graph builder integration tests over the multi-file fixture
 //! (`fixtures/callgraph/`): exact resolved edges for cross-module
-//! calls, trait-dispatch ambiguity, shadowed fn names and recursion,
+//! calls, trait-dispatch ambiguity (typed by a parameter, a binding or
+//! a closure parameter annotation), shadowed fn names and recursion,
 //! plus the merged-candidate fallback flag.
 
 use std::path::Path;
@@ -66,6 +67,21 @@ fn untyped_trait_dispatch_merges_every_impl() {
         resolved(&g, "blit"),
         vec![("Panel::draw".into(), 1, true), ("Sprite::draw".into(), 1, true)],
         "unresolvable receiver falls back to merging all candidates, flagged merged"
+    );
+}
+
+#[test]
+fn annotated_closure_parameter_types_its_receiver() {
+    let g = Graph::build(&fixture_units());
+    assert_eq!(
+        resolved(&g, "show_each"),
+        vec![("Panel::draw".into(), 1, false)],
+        "`|p: &Panel|` must exclude Sprite's impl"
+    );
+    assert_eq!(
+        resolved(&g, "blit_each"),
+        vec![("Panel::draw".into(), 1, true), ("Sprite::draw".into(), 1, true)],
+        "an unannotated closure parameter keeps the merge-all fallback"
     );
 }
 

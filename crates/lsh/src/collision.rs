@@ -58,14 +58,6 @@ pub fn collision_probability(u: f64, r: f64) -> f64 {
     p.clamp(0.0, 1.0)
 }
 
-/// Probability that two points at distance `u` share a bucket in at
-/// least one of `tables` tables of `projections` concatenated hash
-/// functions — the recall lower bound used when reasoning about CIVS.
-pub fn multi_table_recall(u: f64, r: f64, projections: usize, tables: usize) -> f64 {
-    let p1 = collision_probability(u, r).powi(projections as i32);
-    1.0 - (1.0 - p1).powi(tables as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,28 +102,5 @@ mod tests {
     fn collision_probability_grows_with_r() {
         let u = 1.0;
         assert!(collision_probability(u, 0.5) < collision_probability(u, 2.0));
-    }
-
-    #[test]
-    fn multi_table_recall_improves_with_tables() {
-        let (u, r, mu) = (1.0, 1.0, 8);
-        let one = multi_table_recall(u, r, mu, 1);
-        let many = multi_table_recall(u, r, mu, 20);
-        assert!(many > one);
-        assert!(many <= 1.0);
-    }
-
-    #[test]
-    fn more_projections_sharpen_selectivity() {
-        // Concatenating more functions lowers the collision chance for
-        // far pairs faster than for near pairs.
-        let r = 1.0;
-        let near = 0.2;
-        let far = 3.0;
-        let ratio4 =
-            multi_table_recall(near, r, 4, 1) / multi_table_recall(far, r, 4, 1).max(1e-300);
-        let ratio16 =
-            multi_table_recall(near, r, 16, 1) / multi_table_recall(far, r, 16, 1).max(1e-300);
-        assert!(ratio16 > ratio4);
     }
 }

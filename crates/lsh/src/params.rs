@@ -31,12 +31,6 @@ impl LshParams {
         Self { tables, projections, r, seed }
     }
 
-    /// The configuration of the paper's sparsity study (Section 5.1):
-    /// 40 projections, 50 tables.
-    pub fn paper_sparsity(r: f64, seed: u64) -> Self {
-        Self::new(50, 40, r, seed)
-    }
-
     /// A lighter default suited to CIVS, whose multi-query scheme covers
     /// the ROI with many locality-sensitive regions.
     pub fn civs_default(r: f64, seed: u64) -> Self {
@@ -71,12 +65,5 @@ mod tests {
     #[should_panic(expected = "at least one hash table")]
     fn rejects_zero_tables() {
         let _ = LshParams::new(0, 1, 1.0, 0);
-    }
-
-    #[test]
-    fn paper_sparsity_matches_section_5_1() {
-        let p = LshParams::paper_sparsity(0.3, 1);
-        assert_eq!((p.tables, p.projections), (50, 40));
-        assert_eq!(p.r, 0.3);
     }
 }

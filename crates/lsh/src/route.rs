@@ -125,15 +125,6 @@ impl ShardRouter {
         &self.planes[b * width..(b + 1) * width]
     }
 
-    /// [`signature_hamming`] between the signatures of two vectors:
-    /// how many routing hyperplanes separate `a` from `b`.
-    ///
-    /// # Panics
-    /// Panics on dimensionality mismatch.
-    pub fn signature_distance(&self, a: &[f64], b: &[f64]) -> u32 {
-        signature_hamming(self.signature(a), self.signature(b))
-    }
-
     /// Every signature within Hamming distance `radius` of
     /// `signature` (the probe set of a multi-probe lookup), in a
     /// canonical order: distance ascending, flipped-bit combinations
@@ -288,19 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn signature_distance_counts_separating_planes() {
+    fn signature_hamming_counts_differing_bits() {
         assert_eq!(signature_hamming(0b1010, 0b1010), 0);
         assert_eq!(signature_hamming(0b1010, 0b0011), 2);
-        let r = ShardRouter::new(2, 16, 3);
-        for v in [[0.3, -1.2], [5.0, 2.0]] {
-            assert_eq!(r.signature_distance(&v, &v), 0);
-        }
-        // Consistent with the raw signatures.
-        let (a, b) = ([0.3, -1.2], [4.0, 9.5]);
-        assert_eq!(
-            r.signature_distance(&a, &b),
-            signature_hamming(r.signature(&a), r.signature(&b))
-        );
     }
 
     #[test]

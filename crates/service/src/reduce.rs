@@ -261,7 +261,8 @@ pub(crate) fn candidate_groups(
         let group: &mut Vec<usize> = grouped.entry(root).or_default();
         group.push(i); // ascending: i ascends
     }
-    let mut groups: Vec<Vec<usize>> = grouped.into_values().filter(|g| g.len() >= 2).collect();
+    let mut groups: Vec<Vec<usize>> =
+        grouped.into_values().filter(|g: &Vec<usize>| g.len() >= 2).collect();
     groups.sort_by_key(|g| g[0]);
     (groups, pairs.len(), linked)
 }

@@ -870,7 +870,6 @@ impl Service {
         // already exhaustive).
         let radius = reduce::MERGE_RADIUS.min(self.cfg.router_bits as u32);
         // alid-lint: allow(panic-under-lock) -- probe_signatures asserts radius <= 4 and <= router bits, and the radius is MERGE_RADIUS = 2 clamped to router_bits just above; the block kernel's dim asserts cannot fire, as every centroid and sample row comes from a shard dataset of cfg.dim
-        // alid-lint: allow(lock-cycle) -- name merge: the untyped `g.len()` in candidate_groups' group filter resolves to Service::len as well; candidate_groups takes no lock
         let (groups, pairs_tested, pairs_linked) = reduce::candidate_groups(
             &fragments,
             &self.router,

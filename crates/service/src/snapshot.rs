@@ -92,6 +92,13 @@ impl From<BinError> for SnapshotError {
     }
 }
 
+/// Largest `lsh_tables` and `lsh_projections` a snapshot may carry.
+/// The paper's heaviest setting is 50 tables of 40 projections; the
+/// ceiling sits far above it and keeps a corrupt count from sizing the
+/// restored LSH index's allocations (`LshIndex::build` draws
+/// `tables × projections × dim` Gaussians before it inserts anything).
+const MAX_LSH_SHAPE: usize = 1024;
+
 fn schema_err(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Schema(msg.into())
 }
@@ -275,8 +282,12 @@ fn params_from_json(obj: &Json) -> Result<AlidParams, SnapshotError> {
     let tables = usize_field(obj, "lsh_tables")?;
     let projections = usize_field(obj, "lsh_projections")?;
     let r = f64_field(obj, "lsh_r")?;
-    if tables == 0 || projections == 0 || !(r.is_finite() && r > 0.0) {
-        return Err(schema_err("invalid LSH parameters"));
+    let shape = 1..=MAX_LSH_SHAPE;
+    if !(shape.contains(&tables) && shape.contains(&projections) && r.is_finite() && r > 0.0) {
+        return Err(schema_err(format!(
+            "invalid LSH parameters: {tables} tables, {projections} projections, r = {r} \
+             (tables and projections must lie in 1..={MAX_LSH_SHAPE})"
+        )));
     }
     params.lsh = LshParams::new(tables, projections, r, u64_field(obj, "lsh_seed")?);
     Ok(params)
@@ -509,15 +520,43 @@ mod tests {
         ));
     }
 
+    /// The corruption matrix: a recorded snapshot cut at every byte
+    /// offset, then with one bit flipped at every offset. A cut is
+    /// always refused; a flip is refused or restores a service that
+    /// snapshots again. Neither panics nor aborts.
     #[test]
     fn corrupt_payload_is_an_error_not_a_panic() {
-        let svc = populated_service();
-        let bytes = snapshot_bytes(&svc);
-        for cut in [13, bytes.len() / 2, bytes.len() - 1] {
-            assert!(matches!(
-                restore(&bytes[..cut], ExecPolicy::sequential()),
-                Err(SnapshotError::Decode(_))
-            ));
+        let bytes = snapshot_bytes(&populated_service());
+        for cut in 0..bytes.len() {
+            assert!(
+                restore(&bytes[..cut], ExecPolicy::sequential()).is_err(),
+                "a cut at byte {cut} restored"
+            );
+        }
+        let mut restored = 0;
+        for offset in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[offset] ^= 1 << (offset % 8);
+            if let Ok(svc) = restore(&flipped, ExecPolicy::sequential()) {
+                let _ = snapshot_bytes(&svc);
+                restored += 1;
+            }
+        }
+        // Flips inside the float payloads decode to other valid states.
+        assert!(restored > 0, "no flip of {} bytes restored", bytes.len());
+    }
+
+    /// One flipped high bit in the LSH shape must not reach the index
+    /// build's allocations.
+    #[test]
+    fn oversized_lsh_shape_is_a_schema_error() {
+        for key in ["lsh_tables", "lsh_projections"] {
+            let bytes = tampered(&snapshot_bytes(&populated_service()), |body| {
+                let Json::Obj(params) = field_mut(body, "params") else { panic!("params") };
+                *field_mut(params, key) = Json::UInt(1 << 40);
+            });
+            let msg = schema_error(&bytes);
+            assert!(msg.contains("1..=1024"), "{key}: {msg}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! `alid` — the one command-line entry point.
 //!
-//! Two subcommands:
+//! Three subcommands:
 //!
 //! * `alid detect <data.csv> [options]` — batch detection: reads a
 //!   headerless CSV of f64 feature rows, runs the ALID peeling loop
@@ -10,6 +10,9 @@
 //!   with the std-only HTTP front end (see `alid serve --help`).
 //! * `alid lint [options]` — the workspace determinism & safety
 //!   linter (see DESIGN.md, "Enforced invariants"; `alid lint --help`).
+//!
+//! `detect` and `serve` take the same detection flags, parsed and
+//! validated by one [`DetectionFlags`] (in `alid_service::cli`).
 //!
 //! ```text
 //! alid data.csv --scale 0.3                  # calibrated kernel
@@ -24,92 +27,53 @@ use std::sync::Arc;
 
 use alid::data::io::read_csv;
 use alid::prelude::*;
+use alid::service::cli::{DetectionFlags, DETECTION_USAGE};
 
 struct Options {
     input: PathBuf,
-    scale: Option<f64>,
-    k: Option<f64>,
-    target_affinity: f64,
-    min_density: f64,
-    min_size: usize,
-    delta: usize,
+    params: AlidParams,
     parallel: Option<usize>,
-    workers: Option<usize>,
-    seed: u64,
     assignments: bool,
 }
 
-fn usage() -> &'static str {
-    "usage: alid [detect] <data.csv> [options]\n\
-     \x20      alid serve [options]        (see `alid serve --help`)\n\
-     \x20      alid lint [options]         (see `alid lint --help`)\n\
-     \n\
-     input: headerless CSV, one item per row, f64 columns\n\
-     \n\
-     kernel (choose one):\n\
-       --scale <d>        typical intra-cluster distance; k is calibrated so\n\
-                          that distance maps to --target-affinity (default 0.9)\n\
-       --k <k>            explicit Laplacian scaling factor of a_ij = e^(-k*d)\n\
-     \n\
-     options:\n\
-       --target-affinity <a>   affinity at --scale (default 0.9)\n\
-       --min-density <pi>      dominant-cluster threshold (default 0.75)\n\
-       --min-size <m>          minimum cluster size (default 3)\n\
-       --delta <n>             CIVS candidate cap (default 800)\n\
-       --parallel <e>          run PALID with e executors instead of peeling\n\
-       --workers <w>           worker threads for the parallel phases\n\
-                               (default: auto = all cores; 1 = sequential;\n\
-                               output is byte-identical for any count)\n\
-       --seed <s>              LSH/PALID seed (default 42)\n\
-       --assignments           also print one `item cluster` line per item\n\
-       --help"
+fn usage() -> String {
+    format!(
+        "usage: alid [detect] <data.csv> [options]\n\
+         \x20      alid serve [options]        (see `alid serve --help`)\n\
+         \x20      alid lint [options]         (see `alid lint --help`)\n\
+         \n\
+         input: headerless CSV, one item per row, f64 columns\n\
+         \n\
+         detection:\n\
+         {DETECTION_USAGE}\n\
+         \n\
+         output:\n\
+         \x20 --parallel <e>          run PALID with e executors instead of peeling\n\
+         \x20 --assignments           also print one `item cluster` line per item\n\
+         \x20 --help"
+    )
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
-    let mut args = args.iter().cloned();
     let mut input: Option<PathBuf> = None;
-    let mut o = Options {
-        input: PathBuf::new(),
-        scale: None,
-        k: None,
-        target_affinity: 0.9,
-        min_density: 0.75,
-        min_size: 3,
-        delta: 800,
-        parallel: None,
-        workers: None,
-        seed: 42,
-        assignments: false,
-    };
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+    let mut detection = DetectionFlags::default();
+    let mut parallel = None;
+    let mut assignments = false;
+    let with_usage = |e: String| format!("{e}\n\n{}", usage());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if detection.apply(arg, &mut it).map_err(with_usage)? {
+            continue;
+        }
         match arg.as_str() {
-            "--help" | "-h" => return Err(usage().to_string()),
-            "--scale" => o.scale = Some(parse_f64(&take("--scale")?)?),
-            "--k" => o.k = Some(parse_f64(&take("--k")?)?),
-            "--target-affinity" => o.target_affinity = parse_f64(&take("--target-affinity")?)?,
-            "--min-density" => o.min_density = parse_f64(&take("--min-density")?)?,
-            "--min-size" => {
-                o.min_size = take("--min-size")?.parse().map_err(|e| format!("--min-size: {e}"))?
-            }
-            "--delta" => o.delta = take("--delta")?.parse().map_err(|e| format!("--delta: {e}"))?,
+            "--help" | "-h" => return Err(usage()),
             "--parallel" => {
-                o.parallel =
-                    Some(take("--parallel")?.parse().map_err(|e| format!("--parallel: {e}"))?)
+                let v = it.next().ok_or("--parallel needs a value")?;
+                parallel = Some(v.parse().map_err(|e| format!("--parallel: {e}"))?);
             }
-            "--workers" => {
-                let w: usize = take("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                o.workers = Some(w);
-            }
-            "--seed" => o.seed = take("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--assignments" => o.assignments = true,
+            "--assignments" => assignments = true,
             other if other.starts_with('-') => {
-                return Err(format!("unknown option {other}\n\n{}", usage()))
+                return Err(with_usage(format!("unknown option {other}")))
             }
             path => {
                 if input.replace(PathBuf::from(path)).is_some() {
@@ -118,34 +82,12 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
         }
     }
-    o.input = input.ok_or_else(|| usage().to_string())?;
-    if o.scale.is_none() && o.k.is_none() {
-        return Err("one of --scale or --k is required".into());
-    }
-    if o.scale.is_some() && o.k.is_some() {
-        return Err("--scale and --k are mutually exclusive".into());
-    }
-    if let Some(s) = o.scale {
-        if !(s > 0.0 && s.is_finite()) {
-            return Err(format!("--scale must be a positive finite distance, got {s}"));
-        }
-    }
-    if let Some(k) = o.k {
-        if !(k > 0.0 && k.is_finite()) {
-            return Err(format!("--k must be a positive finite factor, got {k}"));
-        }
-    }
-    if !(o.target_affinity > 0.0 && o.target_affinity < 1.0) {
-        return Err(format!(
-            "--target-affinity must lie strictly between 0 and 1, got {}",
-            o.target_affinity
-        ));
-    }
-    Ok(o)
-}
-
-fn parse_f64(s: &str) -> Result<f64, String> {
-    s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
+    let input = input.ok_or_else(usage)?;
+    // Auto-parallelism is on by default (results are byte-identical for
+    // any worker count); --workers pins the count, --workers 1 restores
+    // the sequential pass and its minimal cost trace.
+    let params = detection.params().map_err(with_usage)?;
+    Ok(Options { input, params, parallel, assignments })
 }
 
 fn main() -> ExitCode {
@@ -180,40 +122,22 @@ fn detect_main(args: &[String]) -> ExitCode {
         }
     };
     eprintln!("{} items x {} dims", data.len(), data.dim());
-    let kernel = match (opts.k, opts.scale) {
-        (Some(k), _) => LaplacianKernel::l2(k),
-        (None, Some(scale)) => LaplacianKernel::calibrate(
-            scale,
-            opts.target_affinity,
-            alid::affinity::kernel::LpNorm::L2,
-        ),
-        (None, None) => unreachable!("validated in parse"),
-    };
-    let mut params = AlidParams::new(kernel).with_delta(opts.delta);
-    params.first_roi_radius = kernel.distance_at(0.5);
-    params.density_threshold = opts.min_density;
-    params.min_cluster_size = opts.min_size;
-    params.lsh.seed = opts.seed;
-    // Auto-parallelism is on by default (results are byte-identical for
-    // any worker count); --workers pins the count, --workers 1 restores
-    // the sequential pass and its minimal cost trace.
-    params.exec = ExecPolicy::auto_or(opts.workers);
+    let params = opts.params;
     let cost = CostModel::shared();
     let clustering = match opts.parallel {
         Some(executors) => {
             let mut pp = PalidParams::with_executors(executors.max(1));
-            pp.seed = opts.seed;
+            pp.seed = params.lsh.seed;
             palid_detect(&data, &params, &pp, &cost)
         }
         None => Peeler::new(&data, params, Arc::clone(&cost)).detect_all(),
     };
-    let mut dominant = clustering.dominant(opts.min_density, opts.min_size);
+    let (min_density, min_size) = (params.density_threshold, params.min_cluster_size);
+    let mut dominant = clustering.dominant(min_density, min_size);
     dominant.sort_by_density();
     println!(
-        "# {} dominant clusters (density >= {}, size >= {})",
-        dominant.len(),
-        opts.min_density,
-        opts.min_size
+        "# {} dominant clusters (density >= {min_density}, size >= {min_size})",
+        dominant.len()
     );
     for (i, c) in dominant.clusters.iter().enumerate() {
         let members: Vec<String> = c.members.iter().map(|m| m.to_string()).collect();

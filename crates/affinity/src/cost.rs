@@ -169,7 +169,7 @@ mod tests {
     fn shared_model_is_thread_safe() {
         let c = CostModel::shared();
         // Four exec-layer workers hammer one shared model concurrently.
-        alid_exec::ExecPolicy::workers(4).for_each_index(4, |_| {
+        alid_exec::ExecPolicy::workers(4).map_indexed(4, |_| {
             for _ in 0..1000 {
                 c.record_kernel_evals(1);
                 c.alloc_entries(1);

@@ -9,8 +9,6 @@
 
 use std::sync::Arc;
 
-use alid_exec::{ExecPolicy, SharedSlice};
-
 use crate::block::BlockEval;
 use crate::cost::CostModel;
 use crate::kernel::LaplacianKernel;
@@ -54,55 +52,6 @@ impl DenseAffinity {
         Self { n, a, cost }
     }
 
-    /// Computes the full matrix under an execution policy. Every policy
-    /// produces the byte-identical matrix of [`DenseAffinity::build`]:
-    /// each cell's value depends only on its row/column pair, and the
-    /// exec layer's strided partition hands row `i` (and its symmetric
-    /// reflection) to exactly one worker.
-    pub fn build_with(
-        ds: &Dataset,
-        kernel: &LaplacianKernel,
-        cost: Arc<CostModel>,
-        exec: ExecPolicy,
-    ) -> Self {
-        let n = ds.len();
-        let dim = ds.dim();
-        let flat = ds.as_flat();
-        let mut a = vec![0.0; n * n];
-        if n > 0 {
-            // Row i owns pairs (i, i+1..n) — a triangular workload the
-            // exec layer's strided partition balances across workers.
-            // Each worker runs the blocked evaluator over the (already
-            // contiguous) tail rows with its own scratch.
-            let shared = SharedSlice::new(&mut a);
-            exec.for_each_index_with(
-                n,
-                || (BlockEval::new(), vec![0.0; n.saturating_sub(1)]),
-                |(scratch, vals), i| {
-                    let tail = n - i - 1;
-                    if tail == 0 {
-                        return;
-                    }
-                    let vi = ds.get(i);
-                    scratch.eval_rows(kernel, dim, &flat[(i + 1) * dim..], vi, &mut vals[..tail]);
-                    for (off, &v) in vals[..tail].iter().enumerate() {
-                        let j = i + 1 + off;
-                        // SAFETY: cells (i,j) and (j,i) with i < j are
-                        // written exactly once, by the unique worker
-                        // that the exec layer handed row i to.
-                        unsafe {
-                            shared.write(i * n + j, v);
-                            shared.write(j * n + i, v);
-                        }
-                    }
-                },
-            );
-        }
-        cost.record_kernel_evals((n as u64).saturating_mul((n as u64).saturating_sub(1)) / 2);
-        cost.alloc_entries((n * n) as u64);
-        Self { n, a, cost }
-    }
-
     /// Matrix order `n`.
     #[inline]
     pub fn n(&self) -> usize {
@@ -126,30 +75,15 @@ impl DenseAffinity {
     /// # Panics
     /// Panics in debug builds on length mismatches.
     pub fn matvec(&self, x: &[f64], out: &mut [f64]) {
-        self.matvec_with(x, out, ExecPolicy::sequential());
-    }
-
-    /// `out = A x` with rows fanned out over the exec layer. Row `i`'s
-    /// inner product is accumulated in the same element order by
-    /// exactly one worker, so every policy produces the byte-identical
-    /// vector (the spectral baseline's power iteration relies on this).
-    ///
-    /// # Panics
-    /// Panics in debug builds on length mismatches.
-    pub fn matvec_with(&self, x: &[f64], out: &mut [f64], exec: ExecPolicy) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(out.len(), self.n);
-        let shared = SharedSlice::new(out);
-        exec.for_each_index(self.n, |i| {
-            let row = self.row(i);
+        for (i, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for (a, &xv) in row.iter().zip(x) {
+            for (a, &xv) in self.row(i).iter().zip(x) {
                 acc += a * xv;
             }
-            // SAFETY: slot i is written only by the worker that owns
-            // index i.
-            unsafe { shared.write(i, acc) };
-        });
+            *o = acc;
+        }
     }
 
     /// `A x` restricted to the support of `x`: skips zero weights, which
@@ -247,37 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
-        let mut flat = Vec::new();
-        for i in 0..40 {
-            flat.push((i as f64 * 0.37).sin() * 3.0);
-            flat.push((i as f64 * 0.73).cos() * 2.0);
-        }
-        let ds = Dataset::from_flat(2, flat);
-        let k = LaplacianKernel::new(0.9, LpNorm::L2);
-        let serial = DenseAffinity::build(&ds, &k, CostModel::shared());
-        for threads in [1usize, 2, 3, 7] {
-            let cost = CostModel::shared();
-            let par =
-                DenseAffinity::build_with(&ds, &k, Arc::clone(&cost), ExecPolicy::workers(threads));
-            for i in 0..ds.len() {
-                for j in 0..ds.len() {
-                    assert_eq!(
-                        serial.get(i, j),
-                        par.get(i, j),
-                        "mismatch at ({i},{j}) with {threads} threads"
-                    );
-                }
-            }
-            assert_eq!(cost.snapshot().kernel_evals, 40 * 39 / 2);
-        }
-    }
-
-    #[test]
-    fn parallel_build_empty_dataset() {
+    fn build_of_empty_dataset_is_empty() {
         let ds = Dataset::new(2);
         let k = LaplacianKernel::new(1.0, LpNorm::L2);
-        let a = DenseAffinity::build_with(&ds, &k, CostModel::shared(), ExecPolicy::workers(4));
+        let a = DenseAffinity::build(&ds, &k, CostModel::shared());
         assert_eq!(a.n(), 0);
     }
 

@@ -9,8 +9,6 @@
 
 use std::sync::Arc;
 
-use alid_exec::{ExecPolicy, SharedSlice};
-
 use crate::block::BlockEval;
 use crate::cost::CostModel;
 use crate::fx::FxHashSet;
@@ -56,6 +54,9 @@ impl SparseBuilder {
     }
 
     /// Evaluates the kernel on every edge and builds the CSR matrix.
+    /// CSR assembly runs over the canonically sorted edge list, so every
+    /// hash-set iteration order yields the byte-identical matrix and
+    /// cost trace.
     ///
     /// Cost: one kernel evaluation per undirected edge; `2|E|` stored
     /// entries (both triangles, as a solver holds them).
@@ -65,22 +66,6 @@ impl SparseBuilder {
         kernel: &LaplacianKernel,
         cost: Arc<CostModel>,
     ) -> SparseAffinity {
-        self.build_with(ds, kernel, cost, ExecPolicy::sequential())
-    }
-
-    /// [`Self::build`] under an execution policy: kernel evaluations
-    /// fan out over the edge set on the exec layer, one evaluation per
-    /// edge with the value written to the edge's own slot, and CSR
-    /// assembly then runs over the canonically sorted edge list — so
-    /// every worker count (and every hash-set iteration order) yields
-    /// the byte-identical matrix and cost trace.
-    pub fn build_with(
-        self,
-        ds: &Dataset,
-        kernel: &LaplacianKernel,
-        cost: Arc<CostModel>,
-        exec: ExecPolicy,
-    ) -> SparseAffinity {
         assert_eq!(ds.len(), self.n, "data set size mismatch");
         let n = self.n;
         // Canonical edge order: makes the CSR fill (and therefore the
@@ -88,42 +73,24 @@ impl SparseBuilder {
         // alid-lint: allow(no-unordered-iteration) -- drained into a Vec and canonically sorted on the next line
         let mut edge_list: Vec<(u32, u32)> = self.edges.into_iter().collect();
         edge_list.sort_unstable();
-        // One kernel evaluation per edge, parallel over the edge set.
-        // Workers steal whole spans of the sorted edge list; inside a
-        // span, each run of edges sharing a source row `i` becomes one
-        // blocked batch (row i vs the gathered `j` rows), so the kernel
-        // runs SoA over flat memory instead of pair-at-a-time. The
-        // per-edge values are independent of where spans (or runs) are
-        // cut, so any worker count yields identical bytes.
+        // One kernel evaluation per edge. Each run of edges sharing a
+        // source row `i` becomes one blocked batch (row i vs the
+        // gathered `j` rows), so the kernel runs over flat memory
+        // instead of pair-at-a-time.
         let mut edge_vals = vec![0.0f64; edge_list.len()];
-        {
-            let shared = SharedSlice::new(&mut edge_vals);
-            exec.for_each_span_with(
-                edge_list.len(),
-                || (BlockEval::new(), Vec::<u32>::new(), Vec::<f64>::new()),
-                |(scratch, ids, vals), span| {
-                    let mut e = span.start;
-                    while e < span.end {
-                        let i = edge_list[e].0;
-                        let mut run = e + 1;
-                        while run < span.end && edge_list[run].0 == i {
-                            run += 1;
-                        }
-                        ids.clear();
-                        ids.extend(edge_list[e..run].iter().map(|&(_, j)| j));
-                        vals.clear();
-                        vals.resize(run - e, 0.0);
-                        scratch.eval_indexed(kernel, ds, ids, ds.get(i as usize), vals);
-                        for (off, &v) in vals.iter().enumerate() {
-                            // SAFETY: slot e + off lies inside this
-                            // worker's stolen span, and spans are
-                            // disjoint.
-                            unsafe { shared.write(e + off, v) };
-                        }
-                        e = run;
-                    }
-                },
-            );
+        let mut scratch = BlockEval::new();
+        let mut ids = Vec::new();
+        let mut e = 0;
+        while e < edge_list.len() {
+            let i = edge_list[e].0;
+            let mut run = e + 1;
+            while run < edge_list.len() && edge_list[run].0 == i {
+                run += 1;
+            }
+            ids.clear();
+            ids.extend(edge_list[e..run].iter().map(|&(_, j)| j));
+            scratch.eval_indexed(kernel, ds, &ids, ds.get(i as usize), &mut edge_vals[e..run]);
+            e = run;
         }
         // Count per-row degrees (both directions).
         let mut deg = vec![0usize; n];
@@ -247,8 +214,7 @@ impl SparseAffinity {
     /// contribution and is accumulated. Skipping an exact ±0.0 weight
     /// is bit-exact — with `out` initialised to `+0.0`, adding
     /// `v * ±0.0` can never change any accumulator bit — so this test
-    /// is a pure work filter, never an approximation, and parallel
-    /// sparse builds cannot shift results by producing `-0.0` weights.
+    /// is a pure work filter, never an approximation.
     pub fn matvec_support(&self, x: &[f64], support: &[usize], out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.n);
         out.fill(0.0);
@@ -430,31 +396,6 @@ mod tests {
         let d = m.uniform_density(&[0, 1, 2]);
         let expect = 2.0 * m.get(0, 1) / 9.0;
         assert!((d - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        let (ds, k) = fixture();
-        let serial = full_builder(4).build(&ds, &k, CostModel::shared());
-        for workers in [1usize, 2, 3, 8] {
-            let cost = CostModel::shared();
-            let par = full_builder(4).build_with(
-                &ds,
-                &k,
-                Arc::clone(&cost),
-                alid_exec::ExecPolicy::workers(workers),
-            );
-            assert_eq!(par.nnz(), serial.nnz(), "{workers} workers");
-            for i in 0..4 {
-                let (sc, sv) = serial.row(i);
-                let (pc, pv) = par.row(i);
-                assert_eq!(sc, pc, "row {i} columns diverged at {workers} workers");
-                let sv: Vec<u64> = sv.iter().map(|v| v.to_bits()).collect();
-                let pv: Vec<u64> = pv.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(sv, pv, "row {i} values diverged at {workers} workers");
-            }
-            assert_eq!(cost.snapshot().kernel_evals, 6, "{workers} workers changed accounting");
-        }
     }
 
     #[test]

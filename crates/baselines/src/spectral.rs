@@ -13,7 +13,6 @@ use alid_affinity::clustering::Clustering;
 use alid_affinity::dense::DenseAffinity;
 use alid_affinity::kernel::LaplacianKernel;
 use alid_affinity::vector::Dataset;
-use alid_exec::{ExecPolicy, SharedSlice};
 use alid_linalg::eigen::jacobi_eigh;
 use alid_linalg::matrix::Mat;
 use alid_linalg::power::simultaneous_iteration;
@@ -33,18 +32,13 @@ pub struct SpectralParams {
     pub landmarks: usize,
     /// RNG seed (landmark sampling, start block, k-means).
     pub seed: u64,
-    /// Execution policy for the matrix work: the dense affinity build
-    /// and power-iteration mat-vecs (SC-FL), the cross-block kernel
-    /// evaluations and matrix products (SC-NYS). Byte-identical output
-    /// for any worker count.
-    pub exec: ExecPolicy,
 }
 
 impl SpectralParams {
     /// Defaults for a given `K`.
     pub fn with_k(k: usize) -> Self {
         assert!(k >= 1, "need at least one cluster");
-        Self { k, max_power_iters: 300, landmarks: 150, seed: 0x5c, exec: ExecPolicy::sequential() }
+        Self { k, max_power_iters: 300, landmarks: 150, seed: 0x5c }
     }
 }
 
@@ -60,15 +54,15 @@ pub fn sc_full_detect_all(
         return Clustering::new(0);
     }
     let k = params.k.min(n);
-    let affinity = DenseAffinity::build_with(ds, kernel, std::sync::Arc::clone(cost), params.exec);
+    let affinity = DenseAffinity::build(ds, kernel, std::sync::Arc::clone(cost));
     // Degrees (add a floor so isolated rows do not blow up the scaling).
     let deg: Vec<f64> = (0..n).map(|i| affinity.row(i).iter().sum::<f64>().max(1e-12)).collect();
     let dinv_sqrt: Vec<f64> = deg.iter().map(|d| 1.0 / d.sqrt()).collect();
     // Operator x -> D^{-1/2} A D^{-1/2} x (the mat-vec dominates SC-FL
-    // after the build; both run on the exec layer).
+    // after the build).
     let matvec = |x: &[f64], out: &mut [f64]| {
         let scaled: Vec<f64> = x.iter().zip(&dinv_sqrt).map(|(v, s)| v * s).collect();
-        affinity.matvec_with(&scaled, out, params.exec);
+        affinity.matvec(&scaled, out);
         for (o, s) in out.iter_mut().zip(&dinv_sqrt) {
             *o *= s;
         }
@@ -103,8 +97,7 @@ pub fn sc_nystrom_detect_all(
     let landmarks = &ids[..m];
     let rest = &ids[m..];
     // W: m x m landmark block; B: m x (n-m) cross block. W is small
-    // (m^2); B is the dominant kernel cost and fans out per landmark
-    // row on the exec layer.
+    // (m^2); B is the dominant kernel cost.
     let mut w = Mat::zeros(m, m);
     for (a, &i) in landmarks.iter().enumerate() {
         for (b, &j) in landmarks.iter().enumerate().skip(a + 1) {
@@ -113,20 +106,12 @@ pub fn sc_nystrom_detect_all(
             w[(b, a)] = v;
         }
     }
-    let bmat = {
-        let rest_n = n - m;
-        let mut bdata = vec![0.0f64; m * rest_n];
-        let shared = SharedSlice::new(&mut bdata);
-        params.exec.for_each_index(m, |a| {
-            let vi = ds.get(landmarks[a]);
-            for (b, &j) in rest.iter().enumerate() {
-                // SAFETY: row a is written only by the worker that owns
-                // index a.
-                unsafe { shared.write(a * rest_n + b, kernel.eval(vi, ds.get(j))) };
-            }
-        });
-        Mat::from_vec(m, rest_n, bdata)
-    };
+    let mut bmat = Mat::zeros(m, n - m);
+    for (a, &i) in landmarks.iter().enumerate() {
+        for (b, &j) in rest.iter().enumerate() {
+            bmat[(a, b)] = kernel.eval(ds.get(i), ds.get(j));
+        }
+    }
     cost.record_kernel_evals((m * (m - 1) / 2 + m * (n - m)) as u64);
     cost.alloc_entries((m * m + m * (n - m)) as u64);
     // ---- Approximate degrees (Fowlkes et al., one-shot) -------------
@@ -166,9 +151,9 @@ pub fn sc_nystrom_detect_all(
     // V = [Wn; Bnᵀ] Wn^{-1/2} U Λ^{-1/2}.
     let wn_eig = jacobi_eigh(&wn, 1e-12, 60);
     let wn_inv_sqrt = wn_eig.apply_function(|l| if l > 1e-10 { 1.0 / l.sqrt() } else { 0.0 });
-    let bbt = bn.matmul_with(&bn.transpose(), params.exec);
+    let bbt = bn.matmul(&bn.transpose());
     let mut s = wn.clone();
-    let corr = wn_inv_sqrt.matmul_with(&bbt, params.exec).matmul_with(&wn_inv_sqrt, params.exec);
+    let corr = wn_inv_sqrt.matmul(&bbt).matmul(&wn_inv_sqrt);
     for i in 0..m {
         for j in 0..m {
             s[(i, j)] += corr[(i, j)];
@@ -197,8 +182,8 @@ pub fn sc_nystrom_detect_all(
         wn_inv_sqrt.matmul(&uk)
     };
     // Embedding rows: landmarks via Wn * proj, the rest via Bnᵀ * proj.
-    let land_emb = wn.matmul_with(&proj, params.exec);
-    let rest_emb = bn.transpose().matmul_with(&proj, params.exec);
+    let land_emb = wn.matmul(&proj);
+    let rest_emb = bn.transpose().matmul(&proj);
     let mut embedding_rows = vec![vec![0.0; k]; n];
     for (a, &i) in landmarks.iter().enumerate() {
         embedding_rows[i].copy_from_slice(land_emb.row(a));
@@ -300,24 +285,6 @@ mod tests {
             "Nyström must evaluate fewer kernels"
         );
         assert!(nys_cost.snapshot().entries_peak < full_cost.snapshot().entries_peak);
-    }
-
-    #[test]
-    fn parallel_policies_are_byte_identical() {
-        let ds = blobs();
-        let kernel = LaplacianKernel::l2(1.0);
-        let mut base = SpectralParams::with_k(3);
-        base.landmarks = 12;
-        let full_seq = sc_full_detect_all(&ds, &kernel, &base, &CostModel::shared());
-        let nys_seq = sc_nystrom_detect_all(&ds, &kernel, &base, &CostModel::shared());
-        for workers in [2usize, 4] {
-            let mut p = base;
-            p.exec = ExecPolicy::workers(workers);
-            let full_par = sc_full_detect_all(&ds, &kernel, &p, &CostModel::shared());
-            let nys_par = sc_nystrom_detect_all(&ds, &kernel, &p, &CostModel::shared());
-            assert_eq!(full_seq.labels(), full_par.labels(), "SC-FL diverged at {workers}");
-            assert_eq!(nys_seq.labels(), nys_par.labels(), "SC-NYS diverged at {workers}");
-        }
     }
 
     #[test]

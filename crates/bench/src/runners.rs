@@ -48,11 +48,12 @@ pub struct RunCfg {
     pub halt: HaltPolicy,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution policy threaded through every exec-layer phase (ALID
-    /// speculative peeling, sparse/LSH builds, spectral matrix work).
-    /// `Default` keeps it sequential so library tests compare the
-    /// paper's sequential cost traces; the figure binaries override it
-    /// from `--workers` (auto when absent) via [`Self::with_exec`].
+    /// Execution policy of ALID's speculative peeling and PALID's
+    /// mappers; every baseline and matrix build runs sequentially, as
+    /// the paper measures them. `Default` keeps it sequential so library
+    /// tests compare the paper's sequential cost traces; the figure
+    /// binaries override it from `--workers` (auto when absent) via
+    /// [`Self::with_exec`].
     pub exec: ExecPolicy,
 }
 
@@ -258,7 +259,7 @@ pub fn run_iid_dense(ds: &LabeledDataset, cfg: &RunCfg) -> RunRecord {
     let cost = CostModel::shared();
     let kernel = cfg.kernel(ds);
     let started = Instant::now();
-    let graph = DenseAffinity::build_with(&ds.data, &kernel, Arc::clone(&cost), cfg.exec);
+    let graph = DenseAffinity::build(&ds.data, &kernel, Arc::clone(&cost));
     let params = IidParams { halt: cfg.halt, ..Default::default() };
     let clustering = iid_detect_all(&graph, &params);
     let dominant = clustering.dominant(cfg.dominant_density, cfg.dominant_min_size);
@@ -273,7 +274,7 @@ pub fn run_sea_dense(ds: &LabeledDataset, cfg: &RunCfg) -> RunRecord {
     let cost = CostModel::shared();
     let kernel = cfg.kernel(ds);
     let started = Instant::now();
-    let graph = DenseAffinity::build_with(&ds.data, &kernel, Arc::clone(&cost), cfg.exec);
+    let graph = DenseAffinity::build(&ds.data, &kernel, Arc::clone(&cost));
     let params = SeaParams { halt: cfg.halt, ..Default::default() };
     let clustering = sea_detect_all(&graph, &params);
     let dominant = clustering.dominant(cfg.dominant_density, cfg.dominant_min_size);
@@ -288,7 +289,7 @@ pub fn run_ap_dense(ds: &LabeledDataset, cfg: &RunCfg) -> RunRecord {
     let cost = CostModel::shared();
     let kernel = cfg.kernel(ds);
     let started = Instant::now();
-    let graph = DenseAffinity::build_with(&ds.data, &kernel, Arc::clone(&cost), cfg.exec);
+    let graph = DenseAffinity::build(&ds.data, &kernel, Arc::clone(&cost));
     let clustering = ap_detect_all(&graph, &cfg.ap_params(), &cost);
     let dominant = clustering.dominant(cfg.dominant_density, cfg.dominant_min_size);
     RunRecord::finish("AP", ds, started, &cost, &dominant, Some(0.0))
@@ -301,13 +302,12 @@ pub fn sparsify(
     kernel: &LaplacianKernel,
     lsh: LshParams,
     cost: &Arc<CostModel>,
-    exec: ExecPolicy,
 ) -> SparseAffinity {
-    let index = LshIndex::build_with(&ds.data, lsh, cost, exec);
+    let index = LshIndex::build(&ds.data, lsh, cost);
     let lists = index.neighbor_lists(&ds.data);
     let mut builder = SparseBuilder::new(ds.len());
     builder.add_neighbor_lists(&lists);
-    builder.build_with(&ds.data, kernel, Arc::clone(cost), exec)
+    builder.build(&ds.data, kernel, Arc::clone(cost))
 }
 
 /// IID / SEA / AP on an LSH-sparsified matrix (Fig. 6). `method` picks
@@ -321,7 +321,7 @@ pub fn run_sparse_baseline(
     let cost = CostModel::shared();
     let kernel = cfg.kernel(ds);
     let started = Instant::now();
-    let graph = sparsify(ds, &kernel, lsh, &cost, cfg.exec);
+    let graph = sparsify(ds, &kernel, lsh, &cost);
     if graph.nnz() as u64 * 8 * 3 > cfg.budget_bytes {
         return RunRecord::oom(method, ds);
     }
@@ -362,7 +362,7 @@ pub fn run_sc_full(ds: &LabeledDataset, cfg: &RunCfg) -> RunRecord {
     let cost = CostModel::shared();
     let kernel = cfg.kernel(ds);
     let started = Instant::now();
-    let params = SpectralParams { seed: cfg.seed, exec: cfg.exec, ..SpectralParams::with_k(k) };
+    let params = SpectralParams { seed: cfg.seed, ..SpectralParams::with_k(k) };
     let clustering = sc_full_detect_all(&ds.data, &kernel, &params, &cost);
     RunRecord::finish("SC-FL", ds, started, &cost, &clustering, None)
 }
@@ -373,7 +373,7 @@ pub fn run_sc_nystrom(ds: &LabeledDataset, cfg: &RunCfg) -> RunRecord {
     let cost = CostModel::shared();
     let kernel = cfg.kernel(ds);
     let started = Instant::now();
-    let params = SpectralParams { seed: cfg.seed, exec: cfg.exec, ..SpectralParams::with_k(k) };
+    let params = SpectralParams { seed: cfg.seed, ..SpectralParams::with_k(k) };
     let clustering = sc_nystrom_detect_all(&ds.data, &kernel, &params, &cost);
     RunRecord::finish("SC-NYS", ds, started, &cost, &clustering, None)
 }

@@ -33,11 +33,12 @@ pub struct AlidParams {
     pub min_cluster_size: usize,
     /// LSH configuration for CIVS.
     pub lsh: LshParams,
-    /// Execution policy for phases that can parallelize (today: the
-    /// peeling driver's speculative multi-seed detection; dense-matrix
-    /// builds take it where the caller passes it through). Sequential
-    /// by default; any worker count produces byte-identical output
-    /// (see `Peeler::detect_all`).
+    /// Execution policy of the detection fan-outs: the peeling
+    /// driver's speculative multi-seed detection (batch and streaming)
+    /// and, in a service, the per-shard drain and sweep. Matrix and
+    /// index builds always run sequentially. Sequential by default; any
+    /// worker count produces byte-identical output (see
+    /// `Peeler::detect_all`).
     pub exec: ExecPolicy,
 }
 

@@ -235,12 +235,9 @@ impl StreamingAlid {
                 Some(None) => {}
             }
         }
-        // Replay the insert path row by row: identical code path —
+        // `build` runs the insert path row by row: identical code path —
         // identical buckets — to the instance being restored.
-        let mut index = LshIndex::build(&Dataset::new(data.dim()), params.lsh, &cost);
-        for row in data.iter() {
-            index.insert(row);
-        }
+        let index = LshIndex::build(&data, params.lsh, &cost);
         Ok(Self {
             params,
             cost,

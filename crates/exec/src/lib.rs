@@ -1,47 +1,32 @@
 //! The shared parallel-execution layer of the ALID workspace.
 //!
-//! Before this crate existed, three call sites each hand-rolled their
-//! own `std::thread::scope` pool: `DenseAffinity` row construction, the
-//! `CostModel` concurrency test and the PALID map phase (which also
-//! pulled in channel machinery for work distribution). This crate is
-//! now the only place in the workspace that spawns **compute**
-//! threads (the sole other spawner is `alid-service`'s HTTP acceptor
-//! threads, which own blocking socket I/O — a shape the bounded-phase
-//! model below deliberately excludes — and push all CPU-heavy request
-//! work back through this pool); every parallel phase expresses
-//! itself as one of two shapes:
+//! This crate is the only place in the workspace that spawns
+//! **compute** threads (the sole other spawner is `alid-service`'s HTTP
+//! acceptor threads, which own blocking socket I/O — a shape the
+//! bounded-phase model below deliberately excludes — and push all
+//! CPU-heavy request work back through this pool). It has one shape: a
+//! fan-out of independent tasks, [`ExecPolicy::map_indexed`] /
+//! [`ExecPolicy::map_tasks`], which runs `f(i)` for every index on a
+//! work-stealing schedule and returns the results in **task order**
+//! regardless of which worker ran what. Its users are PALID's mappers
+//! (one ALID detection per seed), speculative peeling, the service's
+//! per-shard drain and sweep, and the linter's file scan.
 //!
-//! * [`ExecPolicy::for_each_index`] — a *static, strided* partition of
-//!   an index range, for uniform workloads that write disjoint slots
-//!   (dense matrix rows);
-//! * [`ExecPolicy::for_each_span_with`] — a *work-stealing* schedule
-//!   handing workers contiguous spans of an index range, for batched
-//!   or irregular work; [`ExecPolicy::map_indexed`] /
-//!   [`ExecPolicy::map_tasks`] run on it (one ALID detection per seed)
-//!   and return results in **task order** regardless of which worker
-//!   ran what.
+//! The map is deterministic: the value computed for index `i` depends
+//! only on `i`, never on scheduling, and result `i` is written into
+//! slot `i` — so any `workers >= 1` produces the same output, and
+//! `workers == 1` degenerates to a plain loop on the calling thread
+//! with zero thread overhead (the sequential fallback).
 //!
-//! Both shapes are deterministic: the value computed for index `i`
-//! depends only on `i`, never on scheduling, and `map_indexed` writes
-//! result `i` into slot `i` — so any `workers >= 1` produces the same
-//! output, and `workers == 1` degenerates to a plain loop on the
-//! calling thread with zero thread overhead (the sequential fallback).
-//!
-//! Every span phase cuts its range with one fixed chunk rule computed
-//! from `n` and the worker count alone, so no file in this crate reads
-//! the clock and the schedule of a phase is a pure function of its
-//! inputs.
-//!
-//! [`SharedSlice`] is the escape hatch for partitioned writes into one
-//! buffer (the dense-matrix pattern, where row ownership guarantees
-//! disjointness but the type system cannot see it).
+//! Every phase cuts its range with one fixed chunk rule computed from
+//! `n` and the worker count alone, so no file in this crate reads the
+//! clock and the schedule of a phase is a pure function of its inputs.
 //!
 //! Parallel phases execute on a **lazily started persistent worker
-//! pool** (the private `pool` module): the first parallel phase spawns the workers,
-//! later phases reuse them, so per-phase cost is an enqueue and a
-//! wakeup instead of `workers - 1` thread spawns. `workers == 1` never
-//! touches the pool at all — the sequential fast path is a plain loop
-//! on the calling thread.
+//! pool** (the private `pool` module): the first parallel phase spawns
+//! the workers, later phases reuse them, so per-phase cost is an
+//! enqueue and a wakeup instead of `workers - 1` thread spawns.
+//! `workers == 1` never touches the pool at all.
 //!
 //! See DESIGN.md ("One execution substrate", "Persistent worker pool")
 //! for how this layer substitutes for the paper's Spark deployment.
@@ -56,14 +41,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod pool;
 
-pub use pool::thread_count as pool_thread_count;
-
-/// The chunk a span phase over `n` items on `workers` workers steals
-/// per cursor bump: one at a time below 4 items per worker
-/// (latency-bound fan-out, e.g. one ALID detection per seed), and
-/// `n / (8 * workers)` above it (throughput-bound sweeps), i.e. eight
-/// steals per worker. The cut never changes output bytes (see
-/// [`ExecPolicy::for_each_span_with`]), only how the range is balanced.
+/// The chunk a phase over `n` tasks on `workers` workers steals per
+/// cursor bump: one at a time below 4 tasks per worker (latency-bound
+/// fan-out, e.g. one ALID detection per seed), and `n / (8 * workers)`
+/// above it, i.e. eight steals per worker. The cut never changes output
+/// bytes, because result `i` depends only on `i`; it only decides how
+/// the range is balanced.
 fn heuristic_chunk(n: usize, workers: usize) -> usize {
     if n < 4 * workers {
         1
@@ -75,8 +58,9 @@ fn heuristic_chunk(n: usize, workers: usize) -> usize {
 /// How a parallel phase should execute: on how many workers.
 ///
 /// The policy travels inside parameter structs (`AlidParams`,
-/// `PalidParams`) so every layer — dense affinity construction, PALID
-/// mapping, multi-seed peeling — draws its worker count from one place.
+/// `PalidParams`) so every fan-out — PALID mapping, multi-seed peeling,
+/// the service's per-shard drain and sweep — draws its worker count
+/// from one place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPolicy {
     workers: NonZeroUsize,
@@ -125,103 +109,10 @@ impl ExecPolicy {
         self.workers.get() == 1
     }
 
-    /// Applies `f` to every index in `0..n` with a **static strided
-    /// partition**: worker `t` handles indices `t, t + W, t + 2W, ...`.
-    ///
-    /// Striding balances triangular workloads (where the cost of index
-    /// `i` shrinks with `i`, as in symmetric-matrix row construction)
-    /// far better than contiguous chunks. Use this shape when `f`
-    /// writes to pre-partitioned disjoint storage and needs no result
-    /// collection.
-    pub fn for_each_index<F: Fn(usize) + Sync>(&self, n: usize, f: F) {
-        self.for_each_index_with(n, || (), |(), i| f(i));
-    }
-
-    /// [`Self::for_each_index`] with a **per-worker scratch value**:
-    /// `init()` runs once per logical worker and the resulting scratch
-    /// is threaded through every `f(&mut scratch, i)` that worker runs.
-    ///
-    /// Use this when each evaluation needs a reusable buffer (e.g. an
-    /// LSH signature): the sequential path allocates one scratch total,
-    /// a `W`-worker phase allocates `W`, and determinism is untouched
-    /// because the scratch never carries information between indices —
-    /// `f` must leave the value it computes for index `i` independent
-    /// of the scratch's prior contents.
-    pub fn for_each_index_with<S, I, F>(&self, n: usize, init: I, f: F)
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers.get().min(n);
-        if workers <= 1 || n <= 1 {
-            let mut scratch = init();
-            for i in 0..n {
-                f(&mut scratch, i);
-            }
-            return;
-        }
-        pool::global().run_phase(workers, &|t| {
-            let mut scratch = init();
-            for i in (t..n).step_by(workers) {
-                f(&mut scratch, i);
-            }
-        });
-    }
-
-    /// Applies `f` to disjoint spans covering `0..n` on a
-    /// **work-stealing** schedule: workers steal `chunk` consecutive
-    /// indices at a time from a shared atomic cursor, so irregular
-    /// per-index costs self-balance, and each steal reaches `f` as one
-    /// span `start..end` — the body can batch-process a contiguous run
-    /// (gather rows once, evaluate a kernel block, write a slab of
-    /// results) without paying a closure call per index. `init()` runs
-    /// once per logical worker, as in [`Self::for_each_index_with`].
-    ///
-    /// The chunk is one fixed rule of `n` and the worker count; the
-    /// sequential path runs one span `0..n`.
-    ///
-    /// The phase's observable effect for index `i` must be independent
-    /// of *how `0..n` is cut into spans* — any partition into disjoint,
-    /// covering ranges must produce byte-identical output. Batched
-    /// kernel evaluation satisfies this because each pair's
-    /// accumulation stays private to its own lane (see `alid-affinity`'s
-    /// `block` module); a body that carried state across the indices of
-    /// one span would not. Triangular workloads should stay on the
-    /// strided [`Self::for_each_index`], whose partition balances them.
-    pub fn for_each_span_with<S, I, F>(&self, n: usize, init: I, f: F)
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, Range<usize>) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers.get().min(n);
-        if workers <= 1 {
-            return f(&mut init(), 0..n);
-        }
-        let chunk = heuristic_chunk(n, workers);
-        let cursor = AtomicUsize::new(0);
-        pool::global().run_phase(workers, &|_t| {
-            let mut scratch = init();
-            loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                f(&mut scratch, start..(start + chunk).min(n));
-            }
-        });
-    }
-
-    /// Computes `f(i)` for every `i` in `0..n` on the
-    /// [`Self::for_each_span_with`] schedule and returns the results
-    /// **in index order**: each result is written straight into its
-    /// own slot, so despite the dynamic schedule slot `i` always holds
-    /// `f(i)`.
+    /// Computes `f(i)` for every `i` in `0..n` on a **work-stealing**
+    /// schedule and returns the results **in index order**: each result
+    /// is written straight into its own slot, so despite the dynamic
+    /// schedule slot `i` always holds `f(i)`.
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -230,19 +121,15 @@ impl ExecPolicy {
         let mut out = Vec::with_capacity(n);
         {
             let slots = SharedSlice::new(&mut out.spare_capacity_mut()[..n]);
-            self.for_each_span_with(
-                n,
-                || (),
-                |(), span| {
-                    for i in span {
-                        // SAFETY: spans are disjoint, so slot i is
-                        // written by exactly one worker.
-                        unsafe { slots.write(i, MaybeUninit::new(f(i))) };
-                    }
-                },
-            );
+            self.for_each_span(n, |span| {
+                for i in span {
+                    // SAFETY: spans are disjoint, so slot i is written
+                    // by exactly one worker.
+                    unsafe { slots.write(i, MaybeUninit::new(f(i))) };
+                }
+            });
         }
-        // SAFETY: `for_each_span_with` returns normally only after spans
+        // SAFETY: `for_each_span` returns normally only after spans
         // covering all of `0..n` ran to completion (a panic in `f` is
         // rethrown instead, unwinding past this line and merely leaking
         // the results already written), so every slot below `n` is
@@ -261,6 +148,26 @@ impl ExecPolicy {
     {
         self.map_indexed(tasks.len(), |i| f(&tasks[i]))
     }
+
+    /// Applies `f` to disjoint spans covering `0..n`: workers steal
+    /// [`heuristic_chunk`] consecutive indices at a time from a shared
+    /// atomic cursor, so irregular per-index costs self-balance. The
+    /// sequential path runs one span `0..n` on the calling thread.
+    fn for_each_span<F: Fn(Range<usize>) + Sync>(&self, n: usize, f: F) {
+        let workers = self.workers.get().min(n);
+        if workers <= 1 {
+            return f(0..n);
+        }
+        let chunk = heuristic_chunk(n, workers);
+        let cursor = AtomicUsize::new(0);
+        pool::global().run_phase(workers, &|_t| loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            f(start..(start + chunk).min(n));
+        });
+    }
 }
 
 impl Default for ExecPolicy {
@@ -270,14 +177,11 @@ impl Default for ExecPolicy {
     }
 }
 
-/// A `Send + Sync` view of a mutable slice for **caller-partitioned**
-/// writes from [`ExecPolicy::for_each_index`] workers.
-///
-/// The type system cannot prove that workers write disjoint cells when
-/// the partition is a domain invariant (e.g. "row `i` and its symmetric
-/// reflection are written only by the owner of row `i`"), so writes go
-/// through an `unsafe` method whose contract states exactly that.
-pub struct SharedSlice<'a, T> {
+/// A `Send + Sync` view of `map_indexed`'s output slots: the type
+/// system cannot see that disjoint spans make every slot's writer
+/// unique, so writes go through an `unsafe` method whose contract
+/// states exactly that.
+struct SharedSlice<'a, T> {
     cells: &'a [UnsafeCell<T>],
 }
 
@@ -291,7 +195,7 @@ unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
 impl<'a, T> SharedSlice<'a, T> {
     /// Wraps a mutable slice for the duration of a parallel phase.
-    pub fn new(slice: &'a mut [T]) -> Self {
+    fn new(slice: &'a mut [T]) -> Self {
         // SAFETY: `&mut [T]` guarantees exclusive access; reinterpreting
         // as `[UnsafeCell<T>]` (same layout) hands that exclusivity to
         // the `write` contract below.
@@ -299,29 +203,17 @@ impl<'a, T> SharedSlice<'a, T> {
         Self { cells }
     }
 
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Writes `value` into slot `i`.
     ///
     /// # Safety
     /// Within one parallel phase, each index must be written by at most
     /// one thread, and no slot may be read until the phase ends (the
-    /// scope join provides the synchronization edge).
+    /// phase latch provides the synchronization edge).
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
     #[inline]
-    pub unsafe fn write(&self, i: usize, value: T) {
+    unsafe fn write(&self, i: usize, value: T) {
         *self.cells[i].get() = value;
     }
 }
@@ -344,21 +236,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = ExecPolicy::workers(0);
-    }
-
-    #[test]
-    fn for_each_index_covers_every_index_exactly_once() {
-        for workers in [1usize, 2, 3, 7] {
-            let n = 103;
-            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            ExecPolicy::workers(workers).for_each_index(n, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{workers} workers missed or repeated an index"
-            );
-        }
     }
 
     #[test]
@@ -395,27 +272,21 @@ mod tests {
     }
 
     #[test]
-    fn for_each_span_with_covers_every_index_exactly_once() {
+    fn for_each_span_covers_every_index_exactly_once() {
         // n = 1 runs on the calling thread, n = 4·workers − 1 steals one
         // index at a time and n = 203 steals multi-index chunks: every
-        // schedule must hand out each index exactly once, with the
-        // scratch threaded through every span of a worker.
+        // schedule must hand out each index exactly once.
         for workers in [1usize, 2, 3, 7] {
             for n in [1, 4 * workers - 1, 203] {
                 let active = workers.min(n);
                 let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
                 let spans = AtomicUsize::new(0);
-                ExecPolicy::workers(workers).for_each_span_with(
-                    n,
-                    || 0u64,
-                    |scratch, span| {
-                        spans.fetch_add(1, Ordering::Relaxed);
-                        for i in span {
-                            *scratch = scratch.wrapping_add(1);
-                            hits[i].fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                );
+                ExecPolicy::workers(workers).for_each_span(n, |span| {
+                    spans.fetch_add(1, Ordering::Relaxed);
+                    for i in span {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
                 assert!(
                     hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                     "{workers} workers, n={n}: missed or repeated an index"
@@ -427,36 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn for_each_span_with_sequential_path_sees_one_span() {
+    fn for_each_span_sequential_path_sees_one_span() {
         let spans = std::sync::Mutex::new(Vec::new());
-        ExecPolicy::sequential().for_each_span_with(
-            97,
-            || (),
-            |(), span| spans.lock().unwrap().push((span.start, span.end)),
-        );
+        ExecPolicy::sequential()
+            .for_each_span(97, |span| spans.lock().unwrap().push((span.start, span.end)));
         assert_eq!(*spans.lock().unwrap(), vec![(0, 97)]);
-    }
-
-    #[test]
-    fn shared_slice_partitioned_writes_land() {
-        let n = 64;
-        let mut buf = vec![0u64; n];
-        let shared = SharedSlice::new(&mut buf);
-        ExecPolicy::workers(4).for_each_index(n, |i| {
-            // SAFETY: index i is written only by the worker that owns it
-            // (for_each_index hands each index to exactly one worker).
-            unsafe { shared.write(i, (i * i) as u64) };
-        });
-        for (i, &v) in buf.iter().enumerate() {
-            assert_eq!(v, (i * i) as u64);
-        }
-    }
-
-    #[test]
-    fn shared_slice_len_tracks_buffer() {
-        let mut buf = [0u8; 3];
-        let s = SharedSlice::new(&mut buf);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
     }
 }

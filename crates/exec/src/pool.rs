@@ -1,10 +1,10 @@
 //! The lazily started persistent worker pool behind every parallel
 //! phase.
 //!
-//! The PR-1 exec layer spawned `workers - 1` OS threads *per phase*
-//! via `std::thread::scope`; fine for long phases, wasteful for the
-//! many short ones a full detection pass issues (one per speculative
-//! peeling round, one per matrix build, ...). This module amortizes
+//! Spawning `workers - 1` OS threads *per phase* via
+//! `std::thread::scope` is fine for long phases, wasteful for the many
+//! short ones a full detection pass issues (one per speculative
+//! peeling round, one per service drain, ...). This module amortizes
 //! that cost:
 //!
 //! * **lifecycle** — the pool is a process-wide singleton created on
@@ -23,10 +23,10 @@
 //!   stack-borrowed closure.
 //! * **determinism** — unchanged from the scoped version: the pool
 //!   decides *where* a logical worker runs, never *what* it computes.
-//!   Logical worker `t` executes the same index set (strided
-//!   partition) or drains the same atomic cursor as before, so any
-//!   mapping of logical workers onto pool threads — including all of
-//!   them running serially on one thread — produces identical bytes.
+//!   Logical workers drain one shared atomic cursor and write result
+//!   `i` into slot `i`, so any mapping of logical workers onto pool
+//!   threads — including all of them running serially on one thread —
+//!   produces identical bytes.
 //! * **nesting / panics** — a phase waiter helps drain the shared job
 //!   queue while it waits, so a phase started from inside a pool job
 //!   cannot deadlock the pool; a panicking body is caught, the latch
@@ -249,9 +249,10 @@ pub(crate) fn global() -> &'static Pool {
 }
 
 /// Number of persistent pool threads spawned so far in this process
-/// (diagnostics; 0 until the first parallel phase runs). Reads the
-/// lock-free mirror, never the spawn mutex — see `Pool::spawned_count`.
-pub fn thread_count() -> usize {
+/// (the `alid_exec_pool_threads` gauge; 0 until the first parallel
+/// phase runs). Reads the lock-free mirror, never the spawn mutex — see
+/// `Pool::spawned_count`.
+fn thread_count() -> usize {
     global().spawned_count.load(Ordering::Relaxed)
 }
 
@@ -322,11 +323,11 @@ mod tests {
 
     #[test]
     fn pool_starts_lazily_and_persists_across_phases() {
-        ExecPolicy::workers(4).for_each_index(64, |_| {});
+        ExecPolicy::workers(4).map_indexed(64, |_| ());
         let after_first = super::thread_count();
         assert!(after_first >= 3, "a 4-worker phase needs >= 3 pool threads");
         for _ in 0..32 {
-            ExecPolicy::workers(4).for_each_index(64, |_| {});
+            ExecPolicy::workers(4).map_indexed(64, |_| ());
         }
         // Repeat phases at the same width reuse the parked workers;
         // other concurrently running tests may grow the pool, but a
@@ -339,7 +340,7 @@ mod tests {
         // Can't assert a global count of zero (other tests share the
         // pool), but the sequential path must run on this very thread.
         let here = std::thread::current().id();
-        ExecPolicy::sequential().for_each_index(8, |_| {
+        ExecPolicy::sequential().map_indexed(8, |_| {
             assert_eq!(std::thread::current().id(), here);
         });
     }
@@ -347,7 +348,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
         let caught = std::panic::catch_unwind(|| {
-            ExecPolicy::workers(3).for_each_index(30, |i| {
+            ExecPolicy::workers(3).map_indexed(30, |i| {
                 if i == 17 {
                     panic!("boom at {i}");
                 }
@@ -356,7 +357,7 @@ mod tests {
         assert!(caught.is_err(), "a worker panic must reach the caller");
         // The pool is still serviceable after a panicked phase.
         let hits = AtomicUsize::new(0);
-        ExecPolicy::workers(3).for_each_index(30, |_| {
+        ExecPolicy::workers(3).map_indexed(30, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 30);
@@ -368,7 +369,7 @@ mod tests {
         let inner = ExecPolicy::workers(2);
         let results = outer.map_indexed(4, |i| {
             let hits = AtomicUsize::new(0);
-            inner.for_each_index(16, |_| {
+            inner.map_indexed(16, |_| {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
             i + hits.load(Ordering::Relaxed)
@@ -397,7 +398,7 @@ mod tests {
                             // Nested phase while holding the lock —
                             // the service drain/sweep pattern.
                             let hits = AtomicUsize::new(0);
-                            ExecPolicy::workers(2).for_each_index(8, |_| {
+                            ExecPolicy::workers(2).map_indexed(8, |_| {
                                 hits.fetch_add(1, Ordering::Relaxed);
                             });
                             *guard += 1;
@@ -410,34 +411,5 @@ mod tests {
         }
         let total: u64 = locks.iter().map(|l| *l.lock().expect("shard lock")).sum();
         assert_eq!(total, 25 * 3 * 4);
-    }
-
-    #[test]
-    fn scratch_is_per_worker_and_results_match_sequential() {
-        let n = 200;
-        let compute = |scratch: &mut Vec<u64>, i: usize| -> u64 {
-            scratch.clear();
-            scratch.extend((0..8).map(|k| (i as u64).wrapping_mul(k + 1)));
-            scratch.iter().sum()
-        };
-        let mut seq = vec![0u64; n];
-        {
-            let mut scratch = Vec::new();
-            for (i, s) in seq.iter_mut().enumerate() {
-                *s = compute(&mut scratch, i);
-            }
-        }
-        for workers in [1usize, 2, 5] {
-            let mut par = vec![0u64; n];
-            {
-                let shared = crate::SharedSlice::new(&mut par);
-                ExecPolicy::workers(workers).for_each_index_with(n, Vec::new, |scratch, i| {
-                    let v = compute(scratch, i);
-                    // SAFETY: index i is written only by its owner.
-                    unsafe { shared.write(i, v) };
-                });
-            }
-            assert_eq!(par, seq, "{workers} workers");
-        }
     }
 }

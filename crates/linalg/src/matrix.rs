@@ -2,8 +2,6 @@
 //! spectral baselines need. Not a general-purpose BLAS: sizes here are
 //! `n x K` embeddings and landmark blocks of a few hundred rows.
 
-use alid_exec::{ExecPolicy, SharedSlice};
-
 /// Row-major dense matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Mat {
@@ -100,63 +98,17 @@ impl Mat {
         assert_eq!(self.cols, other.rows, "inner dimension mismatch");
         let mut out = Mat::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            let arow = self.row(i);
             let orow = out.row_mut(i);
-            Self::accumulate_row(arow, other, orow);
-        }
-        out
-    }
-
-    /// `self * other` with output rows fanned out over the exec layer.
-    /// Row `i` is accumulated in the identical `k`-then-`j` order by
-    /// exactly one worker, so every policy produces the byte-identical
-    /// product of [`Self::matmul`] (the Nyström spectral baseline's
-    /// parity depends on this).
-    ///
-    /// # Panics
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_with(&self, other: &Mat, exec: ExecPolicy) -> Mat {
-        if exec.is_sequential() {
-            return self.matmul(other);
-        }
-        assert_eq!(self.cols, other.rows, "inner dimension mismatch");
-        let mut out = Mat::zeros(self.rows, other.cols);
-        let cols = other.cols;
-        {
-            let shared = SharedSlice::new(&mut out.data);
-            exec.for_each_span_with(
-                self.rows,
-                || vec![0.0f64; cols],
-                |orow, span| {
-                    for i in span {
-                        orow.fill(0.0);
-                        Self::accumulate_row(self.row(i), other, orow);
-                        for (j, &v) in orow.iter().enumerate() {
-                            // SAFETY: row i's slots are written only by
-                            // the worker whose span holds index i.
-                            unsafe { shared.write(i * cols + j, v) };
-                        }
-                    }
-                },
-            );
-        }
-        out
-    }
-
-    /// One output row of a matrix product: `orow += arow * other`,
-    /// iterating `k` ascending then `j` ascending — the accumulation
-    /// order both [`Self::matmul`] and [`Self::matmul_with`] share.
-    #[inline]
-    fn accumulate_row(arow: &[f64], other: &Mat, orow: &mut [f64]) {
-        for (k, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = other.row(k);
-            for (o, &bkj) in orow.iter_mut().zip(brow) {
-                *o += aik * bkj;
+            for (k, &aik) in self.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (o, &bkj) in orow.iter_mut().zip(other.row(k)) {
+                    *o += aik * bkj;
+                }
             }
         }
+        out
     }
 
     /// `out = self * x` for a vector.
@@ -231,22 +183,6 @@ mod tests {
         let b = Mat::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_with_is_byte_identical_across_policies() {
-        let n = 23;
-        let a =
-            Mat::from_vec(n, n, (0..n * n).map(|v| ((v as f64) * 0.37).sin()).collect::<Vec<_>>());
-        let b =
-            Mat::from_vec(n, n, (0..n * n).map(|v| ((v as f64) * 0.73).cos()).collect::<Vec<_>>());
-        let serial = a.matmul(&b);
-        for workers in [1usize, 2, 3, 8] {
-            let par = a.matmul_with(&b, ExecPolicy::workers(workers));
-            let sb: Vec<u64> = serial.as_slice().iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u64> = par.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, pb, "{workers} workers diverged");
-        }
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod rules;
 pub mod scan;
 
 use std::collections::BTreeSet;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 pub use alid_exec::ExecPolicy;
@@ -393,7 +394,10 @@ enum Format {
 }
 
 /// The CLI (shared by the `alid-lint` binary and `alid lint`).
-/// Returns the process exit code.
+/// Returns the process exit code: 0 clean, 1 findings under `--deny`,
+/// 2 for a usage or I/O error. A reader that closes stdout early ends
+/// the run with 0 and no message; a closed stderr never changes the
+/// code.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut cfg = Config::workspace();
     let mut deny = false;
@@ -443,35 +447,34 @@ pub fn cli_main(args: &[String]) -> i32 {
                 }
                 None => return usage_err("--disable needs a comma-separated rule list"),
             },
-            "--help" | "-h" => {
-                println!("{}", USAGE);
-                return 0;
-            }
+            "--help" | "-h" => return print_out(&format!("{USAGE}\n")).unwrap_or(0),
             other => return usage_err(&format!("unknown flag `{other}`")),
         }
     }
     let root = match root.or_else(|| std::env::current_dir().ok().and_then(|d| find_root(&d))) {
         Some(r) => r,
         None => {
-            eprintln!("alid-lint: no workspace root found (pass --root)");
+            note("alid-lint: no workspace root found (pass --root)");
             return 2;
         }
     };
     match lint_root(&root, &cfg, &pol) {
         Ok(rep) => {
-            match format {
-                Format::Json => println!("{}", report::to_json(&rep)),
-                Format::Sarif => println!("{}", report::to_sarif(&rep)),
-                Format::Table => print!("{}", report::to_table(&rep)),
-            }
-            if deny && !rep.findings.is_empty() {
+            let text = match format {
+                Format::Json => format!("{}\n", report::to_json(&rep)),
+                Format::Sarif => format!("{}\n", report::to_sarif(&rep)),
+                Format::Table => report::to_table(&rep),
+            };
+            if let Some(code) = print_out(&text) {
+                code
+            } else if deny && !rep.findings.is_empty() {
                 1
             } else {
                 0
             }
         }
         Err(e) => {
-            eprintln!("alid-lint: {e}");
+            note(format_args!("alid-lint: {e}"));
             2
         }
     }
@@ -495,6 +498,26 @@ const USAGE: &str = "usage: alid-lint [options]\n\
        --help";
 
 fn usage_err(msg: &str) -> i32 {
-    eprintln!("alid-lint: {msg}\n{USAGE}");
+    note(format_args!("alid-lint: {msg}\n{USAGE}"));
     2
+}
+
+/// Writes `text` to stdout. `None` when it all got out; otherwise the
+/// exit code the run ends with: 0 when the reader closed the pipe (it
+/// has all it wanted), 2 for any other write error.
+fn print_out(text: &str) -> Option<i32> {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => None,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Some(0),
+        Err(e) => {
+            note(format_args!("alid-lint: writing the report: {e}"));
+            Some(2)
+        }
+    }
+}
+
+/// Writes `msg` as one line to stderr, ignoring a closed stderr.
+fn note(msg: impl std::fmt::Display) {
+    let _ = writeln!(io::stderr().lock(), "{msg}");
 }

@@ -29,14 +29,7 @@ use crate::{Config, Finding};
 /// `ExecPolicy` / pool dispatch entry points: running one of these
 /// while holding a shard guard re-creates the PR 4 deadlock class (a
 /// waiter helping a foreign job that needs the held lock).
-pub const EXEC_DISPATCH: [&str; 6] = [
-    "map_indexed",
-    "map_tasks",
-    "for_each_index",
-    "for_each_index_with",
-    "for_each_span_with",
-    "run_phase",
-];
+pub const EXEC_DISPATCH: [&str; 4] = ["map_indexed", "map_tasks", "for_each_span", "run_phase"];
 
 /// Panicking method calls (`unwrap_or*` deliberately absent — those
 /// don't panic).
@@ -47,7 +40,9 @@ const PANIC_METHODS: [&str; 4] = ["unwrap", "unwrap_err", "expect", "expect_err"
 const PANIC_MACROS: [&str; 7] =
     ["panic", "assert", "assert_eq", "assert_ne", "unreachable", "todo", "unimplemented"];
 
-/// Blocking-I/O method calls.
+/// Blocking-I/O method calls, matched by name on receivers the call
+/// graph does not resolve into the workspace (`File`, `TcpStream`, …)
+/// or resolves only by the merge-all fallback.
 const BLOCK_METHODS: [&str; 8] = [
     "read_to_end",
     "read_to_string",
@@ -247,7 +242,12 @@ fn direct_ops(units: &[Unit], g: &Graph, cfg: &Config, id: usize) -> Vec<Op> {
                     what: format!("`.{name}(…)` dispatch"),
                 });
             }
-            if method && BLOCK_METHODS.contains(&name) {
+            // A name shared with a blocking call counts only on a
+            // receiver outside the workspace, or a merged one: a
+            // resolved workspace callee's summary carries any real I/O.
+            let workspace_callee =
+                || g.calls[id].iter().any(|c| c.tok == k && !c.callees.is_empty() && !c.merged);
+            if method && BLOCK_METHODS.contains(&name) && !workspace_callee() {
                 out.push(Op {
                     tok: k,
                     line: tok.line,

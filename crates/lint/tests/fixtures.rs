@@ -195,6 +195,15 @@ fn block_under_lock_fires_directly_and_transitively() {
 }
 
 #[test]
+fn block_method_names_count_only_outside_the_workspace() {
+    let files = vec![("lockset/flush.rs".to_string(), fixture("lockset/flush.rs"))];
+    let rep = lint_files(&files, &Config::all_paths(), &ExecPolicy::sequential());
+    // Line 28's `spare.flush()` resolves to `Ledger::flush`, which does
+    // no I/O; line 35's `file.flush()` is `Write::flush` on a `File`.
+    assert_eq!(lines(&rep.findings, "block-under-lock"), vec![35], "{:#?}", rep.findings);
+}
+
+#[test]
 fn lockset_fires_only_the_four_rules() {
     let (f, _) = lint_lockset(&Config::all_paths());
     assert_eq!(f.len(), 7, "exactly the seeded sites may fire: {f:#?}");

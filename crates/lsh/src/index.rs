@@ -7,7 +7,6 @@ use std::sync::{Arc, OnceLock};
 use alid_affinity::cost::CostModel;
 use alid_affinity::fx::mix_words;
 use alid_affinity::vector::Dataset;
-use alid_exec::{ExecPolicy, SharedSlice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,80 +51,38 @@ pub struct LshIndex {
 }
 
 impl LshIndex {
-    /// Builds the index for every item of `ds`.
+    /// Builds the index for every item of `ds`: an empty index, then
+    /// [`Self::insert`] of every row in item order, so a batch build
+    /// and a stream of inserts fill byte-identical buckets.
     ///
     /// Time `O(n * d * l * mu)`; auxiliary space `O(n * l)` for the
     /// bucket lists (reported to `cost` as the paper's hash-table
     /// memory, Section 4.3).
     pub fn build(ds: &Dataset, params: LshParams, cost: &Arc<CostModel>) -> Self {
-        Self::build_with(ds, params, cost, ExecPolicy::sequential())
-    }
-
-    /// [`Self::build`] under an execution policy: bucket keys are
-    /// computed in parallel over the items (one reusable signature
-    /// buffer per worker), then inserted sequentially in item order —
-    /// so bucket contents, and therefore every query, are
-    /// byte-identical for any worker count.
-    pub fn build_with(
-        ds: &Dataset,
-        params: LshParams,
-        cost: &Arc<CostModel>,
-        exec: ExecPolicy,
-    ) -> Self {
         let dim = ds.dim();
-        let n = ds.len();
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut tables = Vec::with_capacity(params.tables);
-        for _ in 0..params.tables {
-            let proj: Vec<f64> =
-                (0..params.projections * dim).map(|_| sample_standard_normal(&mut rng)).collect();
-            let offsets: Vec<f64> =
-                (0..params.projections).map(|_| rng.gen::<f64>() * params.r).collect();
-            tables.push(Table { proj, offsets, buckets: BTreeMap::new() });
-        }
+        let tables = (0..params.tables)
+            .map(|_| {
+                let proj: Vec<f64> = (0..params.projections * dim)
+                    .map(|_| sample_standard_normal(&mut rng))
+                    .collect();
+                let offsets: Vec<f64> =
+                    (0..params.projections).map(|_| rng.gen::<f64>() * params.r).collect();
+                Table { proj, offsets, buckets: BTreeMap::new() }
+            })
+            .collect();
         let mut index = Self {
             params,
             dim,
             tables,
-            alive: vec![true; n],
-            alive_count: n,
+            alive: Vec::with_capacity(ds.len()),
+            alive_count: 0,
             cost: Arc::clone(cost),
             scratch: vec![0u64; params.projections],
         };
-        // Phase 1 (parallel): the key of item `id` in table `t` depends
-        // only on (id, t), so keys fan out over the items.
-        let table_count = index.tables.len();
-        let mut keys = vec![0u64; n * table_count];
-        {
-            let shared = SharedSlice::new(&mut keys);
-            exec.for_each_span_with(
-                n,
-                || vec![0u64; params.projections],
-                |signature, span| {
-                    for id in span {
-                        let row = ds.get(id);
-                        for t in 0..table_count {
-                            let key = index.key_into(t, row, signature);
-                            // SAFETY: the (id, t) slots of item `id` are
-                            // written only by the worker whose span
-                            // holds `id`.
-                            unsafe { shared.write(id * table_count + t, key) };
-                        }
-                    }
-                },
-            );
+        for row in ds.iter() {
+            index.insert(row);
         }
-        // Phase 2 (sequential): deterministic bucket fill in item order,
-        // matching the pushes a fully sequential build performs.
-        for id in 0..n {
-            for (t, table) in index.tables.iter_mut().enumerate() {
-                table.buckets.entry(keys[id * table_count + t]).or_default().push(id as u32);
-            }
-        }
-        // Hash-table memory: one u32 id per (item, table) in the bucket
-        // lists, plus one byte per item for the tombstone bitmap. This is
-        // the O(n*l) term of Section 4.3.
-        cost.record_aux_bytes((n * params.tables * 4 + n) as u64);
         index
     }
 
@@ -155,9 +112,10 @@ impl LshIndex {
     }
 
     /// Inserts a new item with the next id (`= len()` before the call),
-    /// hashing it into every table. This is the streaming-ingest path of
-    /// the online ALID extension; the vector must also be appended to
-    /// the backing [`Dataset`] by the caller.
+    /// hashing it into every table. This is the one hashing path: the
+    /// batch [`Self::build`] runs it over every row, and the online ALID
+    /// extension runs it per arrival; the vector must also be appended
+    /// to the backing [`Dataset`] by the caller.
     ///
     /// The signature scratch buffer is owned by the index, so steady
     /// ingest performs no per-item allocation (bucket growth aside),
@@ -538,30 +496,6 @@ mod tests {
         idx.remove(0);
         idx.remove(41);
         assert_eq!(cost.snapshot().aux_bytes, base + 10 * per_insert);
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        let ds = blob_dataset();
-        let params = LshParams::new(8, 6, 1.0, 42);
-        let serial = LshIndex::build(&ds, params, &CostModel::shared());
-        for workers in [2usize, 4, 8] {
-            let cost = CostModel::shared();
-            let par = LshIndex::build_with(&ds, params, &cost, ExecPolicy::workers(workers));
-            assert_eq!(par.bucket_count(), serial.bucket_count(), "{workers} workers");
-            for probe in 0..ds.len() {
-                assert_eq!(
-                    par.query(ds.get(probe)),
-                    serial.query(ds.get(probe)),
-                    "query {probe} diverged at {workers} workers"
-                );
-            }
-            assert_eq!(
-                cost.snapshot().aux_bytes,
-                (ds.len() * 8 * 4 + ds.len()) as u64,
-                "{workers} workers changed accounting"
-            );
-        }
     }
 
     #[test]

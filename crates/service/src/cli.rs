@@ -4,6 +4,7 @@
 //! behind the root CLI's `alid serve` subcommand.
 
 use std::fmt::Display;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -277,6 +278,9 @@ fn fresh_service(o: &ServeOptions) -> Result<Service, String> {
         ServiceConfig::new(dim, o.shards, params).with_batch(o.batch).with_queue_capacity(o.queue);
     cfg.router_bits = o.router_bits;
     cfg.router_seed = o.router_seed;
+    // The ceiling restore applies: every service serve starts can be
+    // restored from its own snapshot.
+    cfg.check_projection_draws()?;
     Ok(Service::new(cfg))
 }
 
@@ -292,12 +296,12 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
                 std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
             let (svc, meta) = snapshot::restore_with_meta(&bytes, o.detection.exec())
                 .map_err(|e| format!("restoring {}: {e}", path.display()))?;
-            eprintln!(
+            note(format_args!(
                 "restored {} items / {} shards from {}",
                 svc.len(),
                 svc.shard_count(),
                 path.display()
-            );
+            ));
             (svc, meta)
         }
         _ => (fresh_service(&o)?, snapshot::SnapshotMeta::default()),
@@ -311,12 +315,12 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
             crate::journal::JournalConfig { dir: dir.clone(), compact_every: o.compact_every };
         let journal = crate::journal::recover_and_open(cfg, &service, snap_meta.journal_pos)
             .map_err(|e| format!("recovering journal {}: {e}", dir.display()))?;
-        eprintln!(
+        note(format_args!(
             "journal {} replayed to position {} ({} items live)",
             dir.display(),
             journal.appended(),
             service.len()
-        );
+        ));
         service.set_journal(journal);
     }
     // Tracing is observation only: spans record phase timings, and the
@@ -325,17 +329,17 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
         alid_obs::trace::enable(alid_obs::trace::DEFAULT_CAPACITY);
         alid_obs::trace::start_writer(path.clone(), std::time::Duration::from_secs(1))
             .map_err(|e| format!("opening --trace-out {}: {e}", path.display()))?;
-        eprintln!("tracing spans to {}", path.display());
+        note(format_args!("tracing spans to {}", path.display()));
     }
     let cfg = service.config();
-    eprintln!(
+    note(format_args!(
         "alid-service: {} shards, dim {}, sweep period {}, queue bound {}, {} exec workers",
         cfg.shards,
         cfg.dim,
         cfg.batch,
         cfg.queue_capacity,
         cfg.params.exec.worker_count()
-    );
+    ));
     let server = http::start(
         Arc::new(service),
         o.addr.as_str(),
@@ -343,10 +347,24 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| format!("binding {}: {e}", o.addr))?;
     // Single readiness line on stdout: scripts wait for it (or poll
-    // /healthz) before sending traffic.
-    println!("listening on http://{}", server.addr());
-    server.join();
+    // /healthz) before sending traffic. A reader that closed stdout
+    // first ends the run quietly, as the default SIGPIPE would.
+    let ready = writeln!(io::stdout().lock(), "listening on http://{}", server.addr());
+    match ready {
+        Ok(()) => server.join(),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => server.shutdown(),
+        Err(e) => {
+            server.shutdown();
+            return Err(format!("writing the readiness line: {e}"));
+        }
+    }
     Ok(())
+}
+
+/// Writes one progress line to stderr. A closed stderr is ignored:
+/// losing a progress line must not stop the server.
+fn note(msg: impl std::fmt::Display) {
+    let _ = writeln!(io::stderr().lock(), "{msg}");
 }
 
 #[cfg(test)]
@@ -389,6 +407,19 @@ mod tests {
         assert_eq!(svc.shard_count(), 2);
         assert_eq!(svc.config().dim, 3);
         assert!(svc.config().params.exec.is_sequential());
+    }
+
+    #[test]
+    fn fresh_service_refuses_a_dim_restore_would_refuse() {
+        // 12 tables × 16 projections × 21,846 dims is one draw past the
+        // ceiling; 21,845 is the largest fresh dim at the defaults.
+        let o = parse(&args(&["--dim", "21846", "--k", "1"])).unwrap();
+        assert!(fresh_service(&o).unwrap_err().contains("LSH projections"));
+        let o = parse(&args(&["--dim", &usize::MAX.to_string(), "--k", "1"])).unwrap();
+        assert!(fresh_service(&o).unwrap_err().contains("routing hyperplanes"));
+        let o = parse(&args(&["--dim", "21845", "--k", "1"])).unwrap();
+        let cfg = ServiceConfig::new(21845, 1, o.detection.params().unwrap());
+        assert_eq!(cfg.check_projection_draws(), Ok(()));
     }
 
     #[test]

@@ -16,6 +16,16 @@ use serde::{Json, Serialize};
 
 use crate::reduce::{self, FragmentCut, MergedCluster, MergedView, ReduceCut, UnionCut};
 
+/// Most Gaussian coefficients one random projection of a service may
+/// draw: the router's `router_bits × (dim + 1)` hyperplane
+/// coefficients, or one shard index's `tables × projections × dim`
+/// directions. Both are drawn before the first item arrives, so on an
+/// empty service nothing else bounds `dim`. 2^22 draws (32 MiB of
+/// `f64`) still admit 21,845 dimensions at the CIVS default of 12
+/// tables × 16 projections. Snapshot restore refuses a config past it,
+/// and `alid serve` refuses to start one.
+pub const MAX_PROJECTION_DRAWS: usize = 1 << 22;
+
 /// Static configuration of a [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -84,6 +94,26 @@ impl ServiceConfig {
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.params.exec = exec;
         self
+    }
+
+    /// Checks the router's and each shard index's Gaussian draws
+    /// against [`MAX_PROJECTION_DRAWS`], in checked arithmetic.
+    ///
+    /// # Errors
+    /// Names the projection whose draw exceeds the ceiling.
+    pub fn check_projection_draws(&self) -> Result<(), String> {
+        let lsh = &self.params.lsh;
+        let router = self.router_bits.checked_mul(self.dim.saturating_add(1));
+        let index = lsh.tables.checked_mul(lsh.projections).and_then(|tp| tp.checked_mul(self.dim));
+        for (what, draws) in [("routing hyperplanes", router), ("LSH projections", index)] {
+            if draws.is_none_or(|d| d > MAX_PROJECTION_DRAWS) {
+                return Err(format!(
+                    "dim {} needs more than {MAX_PROJECTION_DRAWS} Gaussian draws for the {what}",
+                    self.dim
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -405,6 +405,7 @@ pub fn restore_with_meta(
     params.exec = exec;
     let cfg =
         ServiceConfig { dim, shards, batch, queue_capacity, router_bits, router_seed, params };
+    cfg.check_projection_draws().map_err(schema_err)?;
     let shard_states = arr_field(&body, "shard_states")?;
     if shard_states.len() != shards {
         return Err(schema_err("shard_states count does not match shards"));
@@ -523,27 +524,45 @@ mod tests {
     /// The corruption matrix: a recorded snapshot cut at every byte
     /// offset, then with one bit flipped at every offset. A cut is
     /// always refused; a flip is refused or restores a service that
-    /// snapshots again. Neither panics nor aborts.
+    /// snapshots again. Neither panics nor aborts. The empty two-shard
+    /// service is the case where nothing but the draw ceiling bounds a
+    /// flipped `dim`.
     #[test]
     fn corrupt_payload_is_an_error_not_a_panic() {
-        let bytes = snapshot_bytes(&populated_service());
-        for cut in 0..bytes.len() {
-            assert!(
-                restore(&bytes[..cut], ExecPolicy::sequential()).is_err(),
-                "a cut at byte {cut} restored"
-            );
-        }
-        let mut restored = 0;
-        for offset in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[offset] ^= 1 << (offset % 8);
-            if let Ok(svc) = restore(&flipped, ExecPolicy::sequential()) {
-                let _ = snapshot_bytes(&svc);
-                restored += 1;
+        let empty = Service::new(ServiceConfig::new(2, 2, params()));
+        for bytes in [snapshot_bytes(&populated_service()), snapshot_bytes(&empty)] {
+            for cut in 0..bytes.len() {
+                assert!(
+                    restore(&bytes[..cut], ExecPolicy::sequential()).is_err(),
+                    "a cut at byte {cut} restored"
+                );
             }
+            let mut restored = 0;
+            for offset in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[offset] ^= 1 << (offset % 8);
+                if let Ok(svc) = restore(&flipped, ExecPolicy::sequential()) {
+                    let _ = snapshot_bytes(&svc);
+                    restored += 1;
+                }
+            }
+            // Flips inside the float payloads decode to other valid states.
+            assert!(restored > 0, "no flip of {} bytes restored", bytes.len());
         }
-        // Flips inside the float payloads decode to other valid states.
-        assert!(restored > 0, "no flip of {} bytes restored", bytes.len());
+    }
+
+    /// A `dim` no item constrains must not size the router's or the
+    /// shard indexes' Gaussian draws.
+    #[test]
+    fn oversized_dim_of_an_empty_service_is_a_schema_error() {
+        let empty = Service::new(ServiceConfig::new(2, 2, params()));
+        for dim in [1u64 << 40, u64::MAX] {
+            let bytes = tampered(&snapshot_bytes(&empty), |body| {
+                *field_mut(body, "dim") = Json::UInt(dim);
+            });
+            let msg = schema_error(&bytes);
+            assert!(msg.contains("Gaussian draws"), "dim {dim}: {msg}");
+        }
     }
 
     /// One flipped high bit in the LSH shape must not reach the index

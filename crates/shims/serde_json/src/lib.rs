@@ -286,13 +286,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // boundary math cannot fail).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape
+                    // at once: both delimiters are ASCII, so the run
+                    // ends on a char boundary of the `&str` input, and
+                    // each byte is validated once, so a long string
+                    // parses in linear time.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..run.unwrap_or(rest.len())];
+                    let run = std::str::from_utf8(run)
                         .map_err(|e| Error::at(self.pos, format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -485,6 +490,18 @@ mod tests {
         assert!(from_str(&deep).is_ok());
         // Sibling containers do not accumulate depth.
         assert!(from_str("[[1],[2],[3]]").is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // 8 MiB of key, multi-byte characters included, in one pass: a
+        // parser that re-validated the rest of the input per character
+        // would take minutes here.
+        let key = "aé€𝄞".repeat(1 << 20);
+        let body = format!("{{\"{key}\\n\":1}}");
+        let parsed = from_str(&body).unwrap();
+        let Json::Obj(fields) = parsed else { panic!("not an object") };
+        assert_eq!(fields[0].0, format!("{key}\n"));
     }
 
     #[test]

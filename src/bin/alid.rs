@@ -14,6 +14,10 @@
 //! `detect` and `serve` take the same detection flags, parsed and
 //! validated by one [`DetectionFlags`] (in `alid_service::cli`).
 //!
+//! Exit codes: 0 on success, 2 for a usage error, 1 for a failure. A
+//! reader that closes stdout early (`alid detect … | head -1`) ends the
+//! run with 0 and no message; a closed stderr never changes the code.
+//!
 //! ```text
 //! alid data.csv --scale 0.3                  # calibrated kernel
 //! alid data.csv --k 1.5 --min-density 0.6    # explicit kernel
@@ -21,6 +25,7 @@
 //! alid serve --dim 16 --scale 0.25 --shards 4
 //! ```
 
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -90,13 +95,19 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(Options { input, params, parallel, assignments })
 }
 
+/// Writes `msg` as one line to stderr. A closed stderr is ignored, so
+/// it never turns a documented exit code into a panic.
+fn note(msg: impl std::fmt::Display) {
+    let _ = writeln!(io::stderr().lock(), "{msg}");
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("serve") => match alid::service::cli::serve_main(&argv[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
-                eprintln!("{msg}");
+                note(msg);
                 ExitCode::from(2)
             }
         },
@@ -110,18 +121,18 @@ fn detect_main(args: &[String]) -> ExitCode {
     let opts = match parse(args) {
         Ok(o) => o,
         Err(msg) => {
-            eprintln!("{msg}");
+            note(msg);
             return ExitCode::from(2);
         }
     };
     let data = match read_csv(&opts.input) {
         Ok(d) => d,
         Err(e) => {
-            eprintln!("error reading {}: {e}", opts.input.display());
+            note(format_args!("error reading {}: {e}", opts.input.display()));
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("{} items x {} dims", data.len(), data.dim());
+    note(format_args!("{} items x {} dims", data.len(), data.dim()));
     let params = opts.params;
     let cost = CostModel::shared();
     let clustering = match opts.parallel {
@@ -132,36 +143,59 @@ fn detect_main(args: &[String]) -> ExitCode {
         }
         None => Peeler::new(&data, params, Arc::clone(&cost)).detect_all(),
     };
-    let (min_density, min_size) = (params.density_threshold, params.min_cluster_size);
-    let mut dominant = clustering.dominant(min_density, min_size);
+    let mut dominant = clustering.dominant(params.density_threshold, params.min_cluster_size);
     dominant.sort_by_density();
-    println!(
-        "# {} dominant clusters (density >= {min_density}, size >= {min_size})",
-        dominant.len()
-    );
-    for (i, c) in dominant.clusters.iter().enumerate() {
-        let members: Vec<String> = c.members.iter().map(|m| m.to_string()).collect();
-        println!(
-            "cluster {i}\tdensity {:.4}\tsize {}\tmembers {}",
-            c.density,
-            c.len(),
-            members.join(",")
-        );
-    }
-    if opts.assignments {
-        for (item, label) in dominant.labels().iter().enumerate() {
-            match label {
-                Some(c) => println!("{item}\t{c}"),
-                None => println!("{item}\t-"),
-            }
+    let stdout = &mut BufWriter::new(io::stdout().lock());
+    match write_report(stdout, &params, &dominant, opts.assignments) {
+        Ok(()) => {}
+        // The reader has all it wanted.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => return ExitCode::SUCCESS,
+        Err(e) => {
+            note(format_args!("error writing the report: {e}"));
+            return ExitCode::FAILURE;
         }
     }
     let snap = cost.snapshot();
-    eprintln!(
+    note(format_args!(
         "kernel evals: {} ({:.2}% of full matrix), peak matrix entries: {}",
         snap.kernel_evals,
         100.0 * snap.kernel_evals as f64 / ((data.len() * data.len()).max(1)) as f64,
         snap.entries_peak
-    );
+    ));
     ExitCode::SUCCESS
+}
+
+/// The report on stdout: a header, one line per dominant cluster and,
+/// with `--assignments`, one `item cluster` line per item.
+fn write_report(
+    out: &mut impl Write,
+    params: &AlidParams,
+    dominant: &Clustering,
+    assignments: bool,
+) -> io::Result<()> {
+    let (min_density, min_size) = (params.density_threshold, params.min_cluster_size);
+    writeln!(
+        out,
+        "# {} dominant clusters (density >= {min_density}, size >= {min_size})",
+        dominant.len()
+    )?;
+    for (i, c) in dominant.clusters.iter().enumerate() {
+        let members: Vec<String> = c.members.iter().map(|m| m.to_string()).collect();
+        writeln!(
+            out,
+            "cluster {i}\tdensity {:.4}\tsize {}\tmembers {}",
+            c.density,
+            c.len(),
+            members.join(",")
+        )?;
+    }
+    if assignments {
+        for (item, label) in dominant.labels().iter().enumerate() {
+            match label {
+                Some(c) => writeln!(out, "{item}\t{c}")?,
+                None => writeln!(out, "{item}\t-")?,
+            }
+        }
+    }
+    out.flush()
 }

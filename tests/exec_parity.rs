@@ -1,7 +1,9 @@
-//! Exec-layer parity: every phase that runs on the shared execution
-//! layer must produce byte-identical output for every worker count.
+//! Exec-layer parity: every fan-out that runs on the shared execution
+//! layer — PALID's mappers, speculative peeling and the streaming
+//! sweep — must produce byte-identical output for every worker count.
 //! Parallelism in this workspace buys wall-clock time only — never a
-//! different answer.
+//! different answer. The matrix builds and the baselines have one
+//! sequential implementation each, so they have nothing to compare.
 //!
 //! Each case computes its 1-worker baseline once and sweeps the
 //! multi-worker counts `{2, 4, 8}` against it; CI sets
@@ -9,9 +11,6 @@
 //! suite a second time with an extra worker count, so regressions that
 //! only bite off the single-CPU path cannot slip in silently.
 
-use alid::affinity::dense::DenseAffinity;
-use alid::affinity::sparse::SparseBuilder;
-use alid::baselines::spectral::{sc_full_detect_all, sc_nystrom_detect_all, SpectralParams};
 use alid::data::sift::{sift, SiftConfig};
 use alid::prelude::*;
 
@@ -66,34 +65,6 @@ fn palid_clustering_is_byte_identical_across_executor_counts() {
                 "{executors} executors changed density"
             );
         }
-    }
-}
-
-#[test]
-fn dense_affinity_matrix_is_identical_across_policies() {
-    let (ds, params) = workload();
-    let kernel = params.kernel;
-    let serial = DenseAffinity::build(&ds.data, &kernel, CostModel::shared());
-    for workers in parity_workers() {
-        let cost = CostModel::shared();
-        let par = DenseAffinity::build_with(
-            &ds.data,
-            &kernel,
-            std::sync::Arc::clone(&cost),
-            ExecPolicy::workers(workers),
-        );
-        for i in 0..ds.data.len() {
-            for j in 0..ds.data.len() {
-                assert_eq!(
-                    serial.get(i, j).to_bits(),
-                    par.get(i, j).to_bits(),
-                    "cell ({i},{j}) diverged at {workers} workers"
-                );
-            }
-        }
-        // Cost accounting is schedule-invariant too.
-        let n = ds.data.len() as u64;
-        assert_eq!(cost.snapshot().kernel_evals, n * (n - 1) / 2);
     }
 }
 
@@ -194,84 +165,6 @@ fn exec_policy_auto_reports_at_least_one_worker() {
     assert!(ExecPolicy::default().is_sequential());
     assert_eq!(ExecPolicy::auto_or(Some(3)).worker_count(), 3);
     assert_eq!(ExecPolicy::auto_or(None), ExecPolicy::auto());
-}
-
-#[test]
-fn sparse_build_is_byte_identical_across_worker_counts() {
-    let (ds, params) = workload();
-    let kernel = params.kernel;
-    let make_lists = || {
-        let index = LshIndex::build(&ds.data, params.lsh, &CostModel::shared());
-        index.neighbor_lists(&ds.data)
-    };
-    let lists = make_lists();
-    let build = |workers: usize| {
-        let mut b = SparseBuilder::new(ds.data.len());
-        b.add_neighbor_lists(&lists);
-        let cost = CostModel::shared();
-        let m = b.build_with(
-            &ds.data,
-            &kernel,
-            std::sync::Arc::clone(&cost),
-            ExecPolicy::workers(workers),
-        );
-        (m, cost)
-    };
-    let (serial, serial_cost) = build(1);
-    for workers in parity_workers() {
-        let (par, cost) = build(workers);
-        assert_eq!(par.nnz(), serial.nnz(), "{workers} workers changed nnz");
-        for i in 0..ds.data.len() {
-            let (sc, sv) = serial.row(i);
-            let (pc, pv) = par.row(i);
-            assert_eq!(sc, pc, "row {i} columns diverged at {workers} workers");
-            let sv: Vec<u64> = sv.iter().map(|v| v.to_bits()).collect();
-            let pv: Vec<u64> = pv.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sv, pv, "row {i} values diverged at {workers} workers");
-        }
-        assert_eq!(
-            cost.snapshot().kernel_evals,
-            serial_cost.snapshot().kernel_evals,
-            "{workers} workers changed the kernel-eval count"
-        );
-    }
-}
-
-#[test]
-fn lsh_builds_are_byte_identical_across_worker_counts() {
-    let (ds, params) = workload();
-    let serial_lsh = LshIndex::build(&ds.data, params.lsh, &CostModel::shared());
-    for workers in parity_workers() {
-        let exec = ExecPolicy::workers(workers);
-        let cost = CostModel::shared();
-        let lsh = LshIndex::build_with(&ds.data, params.lsh, &cost, exec);
-        assert_eq!(lsh.bucket_count(), serial_lsh.bucket_count(), "{workers} workers");
-        for probe in 0..ds.data.len() {
-            assert_eq!(
-                lsh.query(ds.data.get(probe)),
-                serial_lsh.query(ds.data.get(probe)),
-                "LSH query {probe} diverged at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn spectral_baselines_are_byte_identical_across_worker_counts() {
-    let (ds, params) = workload();
-    let kernel = params.kernel;
-    let mut base = SpectralParams::with_k(5);
-    base.landmarks = 40;
-    let full_seq = sc_full_detect_all(&ds.data, &kernel, &base, &CostModel::shared());
-    let nys_seq = sc_nystrom_detect_all(&ds.data, &kernel, &base, &CostModel::shared());
-    for workers in parity_workers() {
-        let mut p = base;
-        p.exec = ExecPolicy::workers(workers);
-        let full = sc_full_detect_all(&ds.data, &kernel, &p, &CostModel::shared());
-        let nys = sc_nystrom_detect_all(&ds.data, &kernel, &p, &CostModel::shared());
-        assert_eq!(full.labels(), full_seq.labels(), "SC-FL diverged at {workers} workers");
-        assert_eq!(nys.labels(), nys_seq.labels(), "SC-NYS diverged at {workers} workers");
-    }
 }
 
 /// Replays the same arrival sequence through `StreamingAlid` under a

@@ -60,4 +60,4 @@ pub use lid::{LidOutcome, LidState};
 pub use palid::{palid_detect, PalidParams};
 pub use peel::{detect_on_subset, PeelStats, Peeler, RoundStats};
 pub use roi::Roi;
-pub use streaming::{MergeEvidence, StreamUpdate, StreamingAlid};
+pub use streaming::{ImmunityBall, MergeEvidence, StreamUpdate, StreamingAlid};

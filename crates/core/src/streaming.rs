@@ -21,12 +21,22 @@
 //! sweep re-detects), which allows O(|c|) incremental density updates:
 //! with `S = Σ_j a(new, j)` over current members,
 //! `π_{m+1} = (π_m · m² + 2S) / (m+1)²`.
+//!
+//! Every cluster also keeps an [`ImmunityBall`]: its unweighted member
+//! centroid `D` and `λ = (1/m) Σ_j e^{k‖v_j − D‖}`. By the triangle
+//! inequality — the argument of Proposition 1 — `S/m ≤ e^{−k‖v−D‖} · λ`,
+//! so a candidate cluster whose bound falls below its density is
+//! skipped without a kernel evaluation. The skip is exact: it refuses
+//! only clusters the kernel test would refuse, so every output is the
+//! exhaustive test's, while a refused pair costs `O(d)` instead of
+//! `O(|c| · d)`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use alid_affinity::block::BlockEval;
 use alid_affinity::clustering::{Clustering, DetectedCluster};
 use alid_affinity::cost::CostModel;
+use alid_affinity::kernel::LaplacianKernel;
 use alid_affinity::vector::Dataset;
 use alid_lsh::LshIndex;
 
@@ -70,6 +80,137 @@ pub struct MergeEvidence {
     pub sample: Vec<Vec<f64>>,
 }
 
+/// Relative slack on the outer-ball bound: it absorbs the rounding of
+/// the distances, exponentials and sums on both sides of the test,
+/// which stays below 1e−11 relative wherever the bound is a normal
+/// float.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// Proposition 1's outer ball of one cluster under uniform weights: a
+/// point `D` and `λ = (1/m) Σ_j e^{k‖v_j − D‖}` over the `m` members.
+///
+/// For any point `D`, the triangle inequality gives
+/// `‖v − v_j‖ ≥ ‖v − D‖ − ‖v_j − D‖`, so the uniform-weight payoff
+/// `π(s_v, x) = S/m = (1/m) Σ_j e^{−k‖v − v_j‖}` is at most
+/// [`Self::bound`] `= e^{−k‖v − D‖} · λ`. An item whose bound lies
+/// below the cluster's density is immune to it. `D` is the member
+/// centroid, summed in ascending member order — the centroid
+/// [`MergeEvidence`] reports — and a pure function of the member set.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ImmunityBall {
+    /// The unweighted member centroid `D`.
+    pub center: Vec<f64>,
+    /// `ln λ`: the bound is evaluated as one `exp` of
+    /// `ln λ − k‖v − D‖`, so a far item whose `e^{−k‖v − D‖}` alone
+    /// would underflow still gets a bound with full relative
+    /// precision. `+∞` (or NaN) when a member's exponent overflows
+    /// `f64` or the kernel's norm cannot resolve the distances that
+    /// decide the test, which disables the skip.
+    pub ln_lambda: f64,
+}
+
+impl ImmunityBall {
+    /// The ball of the cluster whose members are `members`, in the
+    /// order they are stored. `λ = +∞`, a bound that holds for any
+    /// member set, stands in when `kernel`'s norm cannot resolve every
+    /// distance that decides an attachment test to full relative
+    /// precision (a large `p` overflows `Σ |x_i|^p` at modest
+    /// distances).
+    pub fn of(kernel: &LaplacianKernel, data: &Dataset, members: &[u32]) -> Self {
+        let mut center = vec![0.0; data.dim()];
+        for &m in members {
+            for (acc, &x) in center.iter_mut().zip(data.get(m as usize)) {
+                *acc += x;
+            }
+        }
+        let inv = 1.0 / members.len() as f64;
+        for x in &mut center {
+            *x *= inv;
+        }
+        if !resolves(kernel, data.dim()) {
+            return Self { center, ln_lambda: f64::INFINITY };
+        }
+        let lambda: f64 = members
+            .iter()
+            .map(|&m| (kernel.k * kernel.norm.distance(data.get(m as usize), &center)).exp())
+            .sum();
+        Self { center, ln_lambda: (lambda * inv).ln() }
+    }
+
+    /// `e^{−k‖v − D‖} · λ`, an upper bound on the uniform-weight
+    /// `π(s_v, x) = S/m` of every member set this ball was fitted to.
+    pub fn bound(&self, kernel: &LaplacianKernel, v: &[f64]) -> f64 {
+        (self.ln_lambda - kernel.k * kernel.norm.distance(v, &self.center)).exp()
+    }
+
+    /// Whether the bound proves `v` immune to a cluster of density
+    /// `density`: `bound · (1 + 1e−9) < density`. Never true when `λ`
+    /// is not finite, or when `density` is below the normal `f64`
+    /// range, where rounding is absolute rather than relative.
+    pub fn excludes(&self, kernel: &LaplacianKernel, v: &[f64], density: f64) -> bool {
+        self.ln_lambda.is_finite()
+            && density >= f64::MIN_POSITIVE
+            && self.bound(kernel, v) * (1.0 + BOUND_MARGIN) < density
+    }
+}
+
+/// Whether `kernel`'s norm computes, in `dim` dimensions, every
+/// distance that can decide an attachment test to full relative
+/// precision. Such a distance is below `1,456 / k`: an item that meets
+/// a normal density lies within `708.4 / k` of a member, and a finite
+/// `λ` keeps every member within `709.8 / k` of `D`. So `Σ |x_i|^p`
+/// must not overflow up to there, and the absolute error of its
+/// subnormal terms, at most `(dim · 2^−1022)^{1/p}` in distance, must
+/// move an exponent by under `1e−12`. L1 and L2 pass for every `k`
+/// between about 1e−150 and 1e140; P(100) passes for none.
+fn resolves(kernel: &LaplacianKernel, dim: usize) -> bool {
+    let p = kernel.norm.p();
+    let floor = (dim as f64 * f64::MIN_POSITIVE).powf(1.0 / p);
+    let ceiling = 2f64.powf(1023.0 / p);
+    kernel.k * floor <= 1e-12 && kernel.k * ceiling >= 1456.0
+}
+
+/// Candidate clusters one attachment evaluation tested with the
+/// kernel, and those its immunity balls skipped.
+#[derive(Clone, Copy, Debug, Default)]
+struct AttachWork {
+    tests: u64,
+    prunes: u64,
+}
+
+impl AttachWork {
+    #[cfg(test)]
+    fn add(&mut self, other: AttachWork) {
+        self.tests += other.tests;
+        self.prunes += other.prunes;
+    }
+
+    fn publish(self) {
+        let (tests, prunes) = attach_counters();
+        tests.add(self.tests);
+        prunes.add(self.prunes);
+    }
+}
+
+/// `alid_work_total{phase="stream",unit="attach_tests"}` and
+/// `{…,unit="attach_prunes"}`: candidate clusters the attachment rule
+/// evaluated with the kernel, and those the immunity ball skipped, on
+/// the ingest path, the sweep's second chance and read-only probes
+/// alike (probes record their kernel evaluations too). Registered by
+/// the first attachment evaluation, so `/metrics` reports 0 rather
+/// than omitting the series.
+fn attach_counters() -> &'static (Arc<alid_obs::Counter>, Arc<alid_obs::Counter>) {
+    static COUNTERS: OnceLock<(Arc<alid_obs::Counter>, Arc<alid_obs::Counter>)> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let r = alid_obs::global();
+        let help = "Hardware-independent work done, by phase and unit";
+        (
+            r.counter("alid_work_total", help, &[("phase", "stream"), ("unit", "attach_tests")]),
+            r.counter("alid_work_total", help, &[("phase", "stream"), ("unit", "attach_prunes")]),
+        )
+    })
+}
+
 /// Incremental dominant-cluster maintenance over a stream.
 pub struct StreamingAlid {
     params: AlidParams,
@@ -79,11 +220,22 @@ pub struct StreamingAlid {
     clusters: Vec<DetectedCluster>,
     /// Per-cluster pairwise-affinity sums (for O(|c|) density updates).
     pair_sums: Vec<f64>,
+    /// Per-cluster immunity balls, derived from the member sets and
+    /// refitted whenever one changes (parallel to `clusters`).
+    balls: Vec<ImmunityBall>,
     assigned: Vec<Option<usize>>,
     pending: Vec<u32>,
     batch: usize,
     since_sweep: usize,
     stats: PeelStats,
+    /// Test oracle: evaluate every candidate with the kernel and
+    /// skip none.
+    #[cfg(test)]
+    exhaustive: bool,
+    /// Second-chance candidates tested and skipped over this
+    /// instance's lifetime.
+    #[cfg(test)]
+    second_chance: AttachWork,
 }
 
 impl StreamingAlid {
@@ -103,11 +255,16 @@ impl StreamingAlid {
             index,
             clusters: Vec::new(),
             pair_sums: Vec::new(),
+            balls: Vec::new(),
             assigned: Vec::new(),
             pending: Vec::new(),
             batch,
             since_sweep: 0,
             stats: PeelStats::default(),
+            #[cfg(test)]
+            exhaustive: false,
+            #[cfg(test)]
+            second_chance: AttachWork::default(),
         }
     }
 
@@ -149,9 +306,9 @@ impl StreamingAlid {
     // (`insert_equivalent_to_batch_build` in `alid-lsh`). Neither are
     // the per-item [`Self::assignments`]: an item is assigned exactly
     // when it is a member of some cluster (attachment and promotion
-    // both add it to `members`), so they are derived from the clusters.
-    // Telemetry ([`Self::peel_stats`]) is excluded too: it never feeds
-    // back into detection.
+    // both add it to `members`), so they are derived from the clusters,
+    // and so are the immunity balls. Telemetry ([`Self::peel_stats`])
+    // is excluded too: it never feeds back into detection.
 
     /// The parameters this stream was configured with (persistence
     /// surface; also what a snapshot must reproduce for determinism).
@@ -238,6 +395,8 @@ impl StreamingAlid {
         // `build` runs the insert path row by row: identical code path —
         // identical buckets — to the instance being restored.
         let index = LshIndex::build(&data, params.lsh, &cost);
+        let balls =
+            clusters.iter().map(|c| ImmunityBall::of(&params.kernel, &data, &c.members)).collect();
         Ok(Self {
             params,
             cost,
@@ -245,11 +404,16 @@ impl StreamingAlid {
             index,
             clusters,
             pair_sums,
+            balls,
             assigned,
             pending,
             batch,
             since_sweep,
             stats: PeelStats::default(),
+            #[cfg(test)]
+            exhaustive: false,
+            #[cfg(test)]
+            second_chance: AttachWork::default(),
         })
     }
 
@@ -279,24 +443,13 @@ impl StreamingAlid {
     pub fn merge_evidence(&self, c: usize, sample_cap: usize) -> MergeEvidence {
         assert!(sample_cap >= 1, "sample cap must be positive");
         let members = &self.clusters[c].members;
-        let dim = self.data.dim();
-        let mut centroid = vec![0.0; dim];
-        for &m in members {
-            for (acc, &x) in centroid.iter_mut().zip(self.data.get(m as usize)) {
-                *acc += x;
-            }
-        }
-        let inv = 1.0 / members.len() as f64;
-        for x in &mut centroid {
-            *x *= inv;
-        }
         let m = members.len();
         let take = m.min(sample_cap);
         // Evenly strided picks: indices i*m/take are strictly
         // increasing for take <= m, covering the whole span.
         let sample =
             (0..take).map(|i| self.data.get(members[i * m / take] as usize).to_vec()).collect();
-        MergeEvidence { centroid, sample }
+        MergeEvidence { centroid: self.balls[c].center.clone(), sample }
     }
 
     /// The current state as a [`Clustering`] over all items seen.
@@ -341,7 +494,10 @@ impl StreamingAlid {
             hits.iter().filter_map(|&h| self.assigned.get(h as usize).copied().flatten()).collect();
         candidates.sort_unstable();
         candidates.dedup();
-        self.attach_among(id, &candidates)
+        let mut work = AttachWork::default();
+        let attached = self.attach_among(id, &candidates, &mut work);
+        work.publish();
+        attached
     }
 
     /// Read-only infective-attachment evaluation: among `candidates`,
@@ -353,9 +509,28 @@ impl StreamingAlid {
     /// ([`Self::push`] / the sweep's second chance) and external
     /// read-only probes (the service's `POST /assign`) both call it,
     /// so a probe's answer can never drift from what an actual ingest
-    /// of the same vector would decide. Kernel evaluations are
-    /// recorded in the shared cost model either way.
+    /// of the same vector would decide. A candidate whose
+    /// [`ImmunityBall`] excludes `v` is skipped without a kernel
+    /// evaluation; the kernel would refuse it, so the answer is the
+    /// exhaustive test's. Kernel evaluations are recorded in the
+    /// shared cost model either way.
     pub fn best_infective<I>(&self, v: &[f64], candidates: I) -> Option<(usize, f64, f64)>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        let mut work = AttachWork::default();
+        let best = self.infective_among(v, candidates, &mut work);
+        work.publish();
+        best
+    }
+
+    /// [`Self::best_infective`], counting its candidates into `work`.
+    fn infective_among<I>(
+        &self,
+        v: &[f64],
+        candidates: I,
+        work: &mut AttachWork,
+    ) -> Option<(usize, f64, f64)>
     where
         I: IntoIterator<Item = usize>,
     {
@@ -365,6 +540,11 @@ impl StreamingAlid {
         let mut best: Option<(f64, usize, f64)> = None; // (density, cluster, S)
         for c in candidates {
             let cluster = &self.clusters[c];
+            if self.immune(c, v) {
+                work.prunes += 1;
+                continue;
+            }
+            work.tests += 1;
             let m = cluster.members.len() as f64;
             // One blocked batch per candidate cluster; summing the
             // per-member affinities in member order reproduces the
@@ -382,12 +562,26 @@ impl StreamingAlid {
         best.map(|(d, c, s)| (c, d, s))
     }
 
+    /// Whether cluster `c`'s immunity ball proves `v` immune to it.
+    fn immune(&self, c: usize, v: &[f64]) -> bool {
+        #[cfg(test)]
+        if self.exhaustive {
+            return false;
+        }
+        self.balls[c].excludes(&self.params.kernel, v, self.clusters[c].density)
+    }
+
     /// The infective-attachment test — [`Self::best_infective`] plus
     /// the mutation: the winner absorbs `id` with an O(|c|)
-    /// incremental density update.
-    fn attach_among(&mut self, id: u32, candidates: &[usize]) -> Option<usize> {
+    /// incremental density update, and its immunity ball is refitted.
+    fn attach_among(
+        &mut self,
+        id: u32,
+        candidates: &[usize],
+        work: &mut AttachWork,
+    ) -> Option<usize> {
         let v = self.data.get(id as usize);
-        let (c, _, s) = self.best_infective(v, candidates.iter().copied())?;
+        let (c, _, s) = self.infective_among(v, candidates.iter().copied(), work)?;
         let cluster = &mut self.clusters[c];
         let m = cluster.members.len() as f64;
         self.pair_sums[c] += s;
@@ -396,6 +590,7 @@ impl StreamingAlid {
         let m1 = m + 1.0;
         cluster.weights = vec![1.0 / m1; cluster.members.len()];
         cluster.density = 2.0 * self.pair_sums[c] / (m1 * m1);
+        self.balls[c] = ImmunityBall::of(&self.params.kernel, &self.data, &cluster.members);
         Some(c)
     }
 
@@ -409,19 +604,25 @@ impl StreamingAlid {
         // Second-chance attachment: the ingest path only sees clusters
         // its LSH collisions surface, and approximate retrieval can miss
         // a true near neighbour. The sweep is the repair phase, so every
-        // buffered item is re-tested against *all* current clusters
-        // directly before detection runs — attachment recall never
-        // depends on hash luck.
+        // buffered item is re-tested against *all* current clusters, in
+        // ascending order, directly before detection runs — attachment
+        // recall never depends on hash luck. A cluster whose immunity
+        // ball excludes the item costs one distance to its centre; only
+        // the rest get a kernel pass over their members.
         let mut still: Vec<u32> = Vec::new();
         // attach_among never adds clusters, so the candidate list is
         // loop-invariant.
         let all: Vec<usize> = (0..self.clusters.len()).collect();
+        let mut work = AttachWork::default();
         for id in std::mem::take(&mut self.pending) {
-            match self.attach_among(id, &all) {
+            match self.attach_among(id, &all, &mut work) {
                 Some(c) => self.assigned[id as usize] = Some(c),
                 None => still.push(id),
             }
         }
+        work.publish();
+        #[cfg(test)]
+        self.second_chance.add(work);
         self.pending = still;
         if self.pending.is_empty() {
             return 0;
@@ -465,6 +666,11 @@ impl StreamingAlid {
                 // converged weights ~ uniform: Σpairs = π m² / 2.
                 let m = cluster.members.len() as f64;
                 self.pair_sums.push(cluster.density * m * m / 2.0);
+                self.balls.push(ImmunityBall::of(
+                    &self.params.kernel,
+                    &self.data,
+                    &cluster.members,
+                ));
                 self.clusters.push(cluster);
                 promoted += 1;
             } else {
@@ -483,7 +689,7 @@ impl StreamingAlid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alid_affinity::kernel::LaplacianKernel;
+    use alid_affinity::kernel::LpNorm;
 
     fn params() -> AlidParams {
         let kernel = LaplacianKernel::l2(1.0);
@@ -853,6 +1059,144 @@ mod tests {
         let pending = vec![8, s.clusters()[0].members[0]];
         let res = from_parts(&s, s.clusters().to_vec(), s.pair_sums().to_vec(), pending);
         assert!(res.err().expect("refused").contains("is in cluster 0"));
+    }
+
+    /// Bursts of 60 arrivals: every other arrival is drawn around the
+    /// burst's centre (jitter 0.05 per coordinate) and the rest is
+    /// noise, half of it uniform in a box of half-width 25 and half
+    /// within 0.05, 0.15 or 0.4 per coordinate of an earlier burst's
+    /// centre — late members and near misses that the immunity balls
+    /// must not misjudge. Returns `n` items of dimension 4.
+    fn burst_stream(seed: u64, n: usize) -> Vec<Vec<f64>> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut centres: Vec<Vec<f64>> = Vec::new();
+        (0..n)
+            .map(|i| {
+                if i % 60 == 0 {
+                    centres.push((0..4).map(|_| rng.gen_range(-25.0..25.0)).collect());
+                }
+                let (centre, spread) = match i % 4 {
+                    0 | 2 => (centres.last().expect("a burst is open").clone(), 0.05),
+                    1 => (vec![0.0; 4], 25.0),
+                    _ => (
+                        centres[rng.gen_range(0..centres.len())].clone(),
+                        [0.05, 0.15, 0.4][rng.gen_range(0..3usize)],
+                    ),
+                };
+                centre.iter().map(|c| c + rng.gen_range(-spread..spread)).collect()
+            })
+            .collect()
+    }
+
+    fn assert_same_state(a: &StreamingAlid, b: &StreamingAlid, at: &str) {
+        assert_eq!(a.assignments(), b.assignments(), "{at}: assignments");
+        assert_eq!(a.pending(), b.pending(), "{at}: pending");
+        assert_eq!(a.clusters().len(), b.clusters().len(), "{at}: cluster count");
+        for (x, y) in a.clusters().iter().zip(b.clusters()) {
+            assert_eq!(x.members, y.members, "{at}: members");
+            let xw: Vec<u64> = x.weights.iter().map(|w| w.to_bits()).collect();
+            let yw: Vec<u64> = y.weights.iter().map(|w| w.to_bits()).collect();
+            assert_eq!(xw, yw, "{at}: weights");
+            assert_eq!(x.density.to_bits(), y.density.to_bits(), "{at}: density");
+        }
+        let xp: Vec<u64> = a.pair_sums().iter().map(|x| x.to_bits()).collect();
+        let yp: Vec<u64> = b.pair_sums().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(xp, yp, "{at}: pair sums");
+        assert_eq!(a.balls, b.balls, "{at}: immunity balls");
+        for (ball, c) in a.balls.iter().zip(a.clusters()) {
+            let fresh = ImmunityBall::of(&a.params.kernel, &a.data, &c.members);
+            assert_eq!(ball, &fresh, "{at}: a ball is stale");
+        }
+    }
+
+    /// The immunity-ball skip is exact: an instance that skips and an
+    /// exhaustive one that evaluates every candidate with the kernel
+    /// agree after every push, across seeds, worker counts and a
+    /// `from_state` round trip, while the skip spares at least 90% of
+    /// the second chance's kernel passes.
+    #[test]
+    fn immunity_balls_change_no_output_of_the_exhaustive_test() {
+        let mut worker_counts = vec![1usize, 4, 8];
+        if let Ok(v) = std::env::var("ALID_TEST_WORKERS") {
+            let extra: usize = v.parse().expect("ALID_TEST_WORKERS must be a positive integer");
+            if !worker_counts.contains(&extra) {
+                worker_counts.push(extra);
+            }
+        }
+        const N: usize = 1_560;
+        for seed in [1u64, 2] {
+            let items = burst_stream(seed, N);
+            for &workers in &worker_counts {
+                let kernel = LaplacianKernel::calibrate(0.2, 0.9, LpNorm::L2);
+                let mut p =
+                    AlidParams::new(kernel).with_exec(alid_exec::ExecPolicy::workers(workers));
+                p.first_roi_radius = kernel.distance_at(0.5);
+                p.min_cluster_size = 4;
+                p.lsh = alid_lsh::LshParams::new(2, 8, p.lsh.r, 11);
+                let mut pruned = StreamingAlid::new(4, p, 32, CostModel::shared());
+                let mut exhaustive = StreamingAlid::new(4, p, 32, CostModel::shared());
+                exhaustive.exhaustive = true;
+                for (i, v) in items.iter().enumerate() {
+                    if i == N / 2 {
+                        let carried = (pruned.second_chance, exhaustive.second_chance);
+                        pruned = restore(&pruned).expect("restore");
+                        exhaustive = restore(&exhaustive).expect("restore");
+                        exhaustive.exhaustive = true;
+                        (pruned.second_chance, exhaustive.second_chance) = carried;
+                    }
+                    let at = format!("seed {seed}, {workers} workers, push {i}");
+                    assert_eq!(pruned.push(v), exhaustive.push(v), "{at}: push outcome");
+                    assert_same_state(&pruned, &exhaustive, &at);
+                }
+                let (sc, oracle) = (pruned.second_chance, exhaustive.second_chance);
+                assert_eq!(oracle.prunes, 0, "the oracle skips nothing");
+                assert_eq!(sc.tests + sc.prunes, oracle.tests, "both walk the same candidates");
+                assert!(
+                    sc.prunes * 10 >= (sc.tests + sc.prunes) * 9,
+                    "seed {seed}, {workers} workers: the balls skipped only {} of {} \
+                     second-chance candidates",
+                    sc.prunes,
+                    sc.tests + sc.prunes
+                );
+                assert!(sc.tests > 0, "some second-chance candidates reach the kernel");
+                assert!(pruned.clusters().len() >= 10, "the stream promotes its bursts");
+            }
+        }
+    }
+
+    #[test]
+    fn immunity_ball_of_one_member_is_that_member_and_never_below_the_kernel() {
+        let kernel = LaplacianKernel::l2(3.0);
+        let data = Dataset::from_flat(2, vec![1.0, -2.0, 0.5, 0.25]);
+        let ball = ImmunityBall::of(&kernel, &data, &[0]);
+        assert_eq!(ball.center, vec![1.0, -2.0]);
+        assert_eq!(ball.ln_lambda, 0.0);
+        let v = data.get(1);
+        let a = kernel.eval(data.get(0), v);
+        assert_eq!(ball.bound(&kernel, v).to_bits(), a.to_bits());
+        assert!(!ball.excludes(&kernel, v, a), "a density the kernel meets is never skipped");
+        assert!(ball.excludes(&kernel, v, a * (1.0 + 2e-9)));
+        let overflow = ImmunityBall { ln_lambda: f64::INFINITY, ..ball };
+        assert!(!overflow.excludes(&kernel, &[1e9, 1e9], 1.0), "an infinite λ never skips");
+    }
+
+    /// Under P(100), `|x|^100` overflows past `|x| ≈ 1,209`, so the
+    /// probe's distance to `D` reads `∞` while it sits 800 from a
+    /// member: a finite `λ` would skip a cluster the kernel accepts.
+    #[test]
+    fn immunity_ball_claims_no_bound_where_the_norm_cannot_resolve_distances() {
+        let kernel = LaplacianKernel::new(0.5, LpNorm::P(100.0));
+        let data = Dataset::from_flat(1, vec![0.0, 1000.0]);
+        let v = [1800.0];
+        let payoff = (kernel.eval(data.get(0), &v) + kernel.eval(data.get(1), &v)) / 2.0;
+        assert!(payoff >= f64::MIN_POSITIVE, "the kernel test sees a normal payoff");
+        let ball = ImmunityBall::of(&kernel, &data, &[0, 1]);
+        assert_eq!(ball.ln_lambda, f64::INFINITY);
+        assert!(!ball.excludes(&kernel, &v, payoff));
+        let l2 = LaplacianKernel::new(0.5, LpNorm::L2);
+        assert!((ImmunityBall::of(&l2, &data, &[0, 1]).ln_lambda - 250.0).abs() < 1e-9);
     }
 
     #[test]

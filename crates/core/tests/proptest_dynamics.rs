@@ -1,14 +1,16 @@
-//! Property-based tests of the game dynamics and the ROI guarantee on
-//! randomly generated instances.
+//! Property-based tests of the game dynamics, the ROI guarantee and
+//! the streaming immunity-ball bound on randomly generated instances.
 
+use alid_affinity::block::BlockEval;
 use alid_affinity::cost::CostModel;
 use alid_affinity::dense::DenseAffinity;
-use alid_affinity::kernel::LaplacianKernel;
+use alid_affinity::kernel::{LaplacianKernel, LpNorm};
 use alid_affinity::local::LocalAffinity;
 use alid_affinity::simplex;
 use alid_affinity::vector::Dataset;
 use alid_core::lid::{lid_converge, lid_step, LidState};
 use alid_core::roi::Roi;
+use alid_core::ImmunityBall;
 use proptest::prelude::*;
 
 /// Random 2-d point sets of 4..=12 points in a [0, 5]^2 box.
@@ -17,6 +19,66 @@ fn points() -> impl Strategy<Value = Dataset> {
         let n = flat.len() / 2;
         Dataset::from_flat(2, flat[..2 * n].to_vec())
     })
+}
+
+/// A member set for the immunity-ball bound: a kernel (L1, L2 or
+/// P(3), `k` log-uniform in [1e−3, 1e3]), 1–64 members of dimension
+/// 1–16 spread uniformly around a centre, and probe points on top of
+/// the members, far outside them and just beyond the farthest one.
+/// `k` times the per-coordinate half-width is log-uniform in
+/// [1e−4, 2e3], so member exponents `k·‖v_j − D‖` run from negligible
+/// past the `f64` overflow at 709.78.
+fn ball_case() -> impl Strategy<Value = (LaplacianKernel, Dataset, Vec<Vec<f64>>)> {
+    (1usize..=16, 1usize..=64, 0usize..3, -3.0f64..3.0, -4.0f64..3.3, 0u64..u64::MAX).prop_map(
+        |(dim, m, norm, log_k, log_ks, seed)| {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let norm = [LpNorm::L1, LpNorm::L2, LpNorm::P(3.0)][norm];
+            let k = 10f64.powf(log_k);
+            let spread = 10f64.powf(log_ks) / k;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let centre: Vec<f64> = (0..dim).map(|_| rng.gen_range(-5.0..5.0)).collect();
+            let mut data = Dataset::new(dim);
+            for _ in 0..m {
+                let row: Vec<f64> =
+                    centre.iter().map(|c| c + spread * rng.gen_range(-1.0..1.0)).collect();
+                data.push(&row);
+            }
+            let kernel = LaplacianKernel::new(k, norm);
+            // The member farthest from the centroid: probes just
+            // outward of it have `e^{−k‖v − D‖}` underflow on its own
+            // while `S/m` is still a normal float.
+            let ball = ImmunityBall::of(&kernel, &data, &(0..m as u32).collect::<Vec<_>>());
+            let far = (0..m)
+                .max_by(|&a, &b| {
+                    let d = |i: usize| norm.distance(data.get(i), &ball.center);
+                    d(a).total_cmp(&d(b))
+                })
+                .map(|i| data.get(i).to_vec())
+                .expect("at least one member");
+            let probes = (0..9)
+                .map(|p| match p % 3 {
+                    // Near a member.
+                    0 => {
+                        let base = data.get(rng.gen_range(0..m)).to_vec();
+                        let reach = spread * 10f64.powf(rng.gen_range(-4.0..0.0));
+                        base.iter().map(|b| b + reach * rng.gen_range(-1.0..1.0)).collect()
+                    }
+                    // Up to 300 spreads from the centre.
+                    1 => {
+                        let reach = spread * 10f64.powf(rng.gen_range(-1.0..2.5));
+                        centre.iter().map(|c| c + reach * rng.gen_range(-1.0..1.0)).collect()
+                    }
+                    // Outward of the farthest member.
+                    _ => {
+                        let t = 10f64.powf(rng.gen_range(-3.0..0.0));
+                        far.iter().zip(&ball.center).map(|(f, d)| f + t * (f - d)).collect()
+                    }
+                })
+                .collect();
+            (kernel, data, probes)
+        },
+    )
 }
 
 proptest! {
@@ -124,6 +186,46 @@ proptest! {
         dense.matvec(&state.x, &mut want);
         for (g, w) in state.g.iter().zip(&want) {
             prop_assert!((g - w).abs() < 1e-7, "g drifted: {g} vs {w}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Proposition 1's outer-ball bound under uniform weights: the
+    /// attachment payoff `S/m`, summed through `BlockEval::eval_indexed`
+    /// as `StreamingAlid::best_infective` sums it, never exceeds the
+    /// immunity ball's bound times (1 + 1e−9) while it is a normal
+    /// float, so the ball never excludes a density the kernel test
+    /// would accept; and a non-finite `λ` excludes nothing.
+    #[test]
+    fn immunity_ball_bounds_the_uniform_payoff(case in ball_case()) {
+        let (kernel, data, probes) = case;
+        let ids: Vec<u32> = (0..data.len() as u32).collect();
+        let ball = ImmunityBall::of(&kernel, &data, &ids);
+        let m = ids.len() as f64;
+        let mut scratch = BlockEval::new();
+        let mut vals = vec![0.0; ids.len()];
+        for v in &probes {
+            scratch.eval_indexed(&kernel, &data, &ids, v, &mut vals);
+            let s: f64 = vals.iter().sum();
+            let payoff = s / m;
+            if ball.ln_lambda.is_finite() && payoff >= f64::MIN_POSITIVE {
+                let bound = ball.bound(&kernel, v);
+                prop_assert!(
+                    payoff <= bound * (1.0 + 1e-9),
+                    "S/m = {payoff:e} above the bound {bound:e} (k = {}, ln λ = {})",
+                    kernel.k,
+                    ball.ln_lambda
+                );
+            }
+            prop_assert!(!ball.excludes(&kernel, v, payoff), "excluded an accepted density {payoff:e}");
+            if !ball.ln_lambda.is_finite() {
+                for density in [payoff, 1.0, f64::MAX] {
+                    prop_assert!(!ball.excludes(&kernel, v, density), "a non-finite λ excluded");
+                }
+            }
         }
     }
 }

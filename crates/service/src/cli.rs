@@ -284,18 +284,49 @@ fn fresh_service(o: &ServeOptions) -> Result<Service, String> {
     Ok(Service::new(cfg))
 }
 
+/// Why [`serve_main`] stopped, which decides the exit code.
+#[derive(Debug)]
+pub enum ServeError {
+    /// The flags, or the service they describe, are invalid; the
+    /// message may carry the usage text. Exit code 2.
+    Usage(String),
+    /// The service could not start: reading or restoring the
+    /// snapshot, recovering the journal, opening `--trace-out`,
+    /// binding the address or writing the readiness line failed.
+    /// Exit code 1.
+    Failed(String),
+}
+
+impl ServeError {
+    /// The process exit code: 2 for a usage error, 1 for a failure.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            ServeError::Usage(_) => 2,
+            ServeError::Failed(_) => 1,
+        }
+    }
+}
+
+impl Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeError::Usage(msg) | ServeError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// Parses `args` (everything after `serve`), builds or restores the
-/// service, and serves until the process dies. Returns an error
-/// message (possibly the usage text) instead of printing it, so both
-/// binaries control their own exit codes.
-pub fn serve_main(args: &[String]) -> Result<(), String> {
-    let o = parse(args)?;
+/// service, and serves until the process dies. Returns the error
+/// (possibly the usage text) instead of printing it, so the binary
+/// controls its own exit code.
+pub fn serve_main(args: &[String]) -> Result<(), ServeError> {
+    let o = parse(args).map_err(ServeError::Usage)?;
     let (mut service, snap_meta) = match &o.snapshot {
         Some(path) if path.exists() => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+            let bytes = std::fs::read(path)
+                .map_err(|e| ServeError::Failed(format!("reading {}: {e}", path.display())))?;
             let (svc, meta) = snapshot::restore_with_meta(&bytes, o.detection.exec())
-                .map_err(|e| format!("restoring {}: {e}", path.display()))?;
+                .map_err(|e| ServeError::Failed(format!("restoring {}: {e}", path.display())))?;
             note(format_args!(
                 "restored {} items / {} shards from {}",
                 svc.len(),
@@ -304,7 +335,7 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
             ));
             (svc, meta)
         }
-        _ => (fresh_service(&o)?, snapshot::SnapshotMeta::default()),
+        _ => (fresh_service(&o).map_err(ServeError::Usage)?, snapshot::SnapshotMeta::default()),
     };
     if let Some(dir) = &o.journal {
         // Replay any frames past the snapshot's cut through the
@@ -314,7 +345,9 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
         let cfg =
             crate::journal::JournalConfig { dir: dir.clone(), compact_every: o.compact_every };
         let journal = crate::journal::recover_and_open(cfg, &service, snap_meta.journal_pos)
-            .map_err(|e| format!("recovering journal {}: {e}", dir.display()))?;
+            .map_err(|e| {
+                ServeError::Failed(format!("recovering journal {}: {e}", dir.display()))
+            })?;
         note(format_args!(
             "journal {} replayed to position {} ({} items live)",
             dir.display(),
@@ -327,8 +360,9 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     // parity suite proves outputs are byte-identical with it on or off.
     if let Some(path) = &o.trace_out {
         alid_obs::trace::enable(alid_obs::trace::DEFAULT_CAPACITY);
-        alid_obs::trace::start_writer(path.clone(), std::time::Duration::from_secs(1))
-            .map_err(|e| format!("opening --trace-out {}: {e}", path.display()))?;
+        alid_obs::trace::start_writer(path.clone(), std::time::Duration::from_secs(1)).map_err(
+            |e| ServeError::Failed(format!("opening --trace-out {}: {e}", path.display())),
+        )?;
         note(format_args!("tracing spans to {}", path.display()));
     }
     let cfg = service.config();
@@ -345,7 +379,7 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
         o.addr.as_str(),
         HttpOptions { http_workers: o.http_workers.max(1), snapshot_path: o.snapshot.clone() },
     )
-    .map_err(|e| format!("binding {}: {e}", o.addr))?;
+    .map_err(|e| ServeError::Failed(format!("binding {}: {e}", o.addr)))?;
     // Single readiness line on stdout: scripts wait for it (or poll
     // /healthz) before sending traffic. A reader that closed stdout
     // first ends the run quietly, as the default SIGPIPE would.
@@ -355,7 +389,7 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe => server.shutdown(),
         Err(e) => {
             server.shutdown();
-            return Err(format!("writing the readiness line: {e}"));
+            return Err(ServeError::Failed(format!("writing the readiness line: {e}")));
         }
     }
     Ok(())

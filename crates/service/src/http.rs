@@ -419,8 +419,8 @@ fn write_response(
 ///
 /// Returns `Ok(0)` on EOF before any byte. Errors: timeout/reset mid-
 /// line, the cap, or the deadline.
-fn bounded_line(
-    reader: &mut BufReader<TcpStream>,
+fn bounded_line<R: BufRead>(
+    reader: &mut R,
     line: &mut String,
     cap: usize,
     deadline: Instant,
@@ -466,9 +466,9 @@ fn bounded_line(
 /// `100 Continue` response some clients (curl with bodies over ~1 KB)
 /// wait for before transmitting their body — without it every large
 /// ingest request stalls on the client's expect timeout (~1 s).
-fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
+fn read_request<R: BufRead, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
     m: &HttpMetrics,
 ) -> Result<Option<Request>, HttpError> {
     // The whole head must arrive within this window — a slow-drip
@@ -1392,5 +1392,121 @@ mod tests {
     fn wait_ready_times_out_on_dead_port() {
         let err = wait_ready("127.0.0.1:1", Duration::from_millis(200)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+    }
+
+    /// A complete `POST /ingest` request, and its body.
+    fn ingest_request() -> (Vec<u8>, Vec<u8>) {
+        let body = br#"{"items":[[60.0,0.0],[60.1,0.2]]}"#.to_vec();
+        let mut request = format!(
+            "POST /ingest HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(&body);
+        (request, body)
+    }
+
+    /// `read_request` over `bytes`, as a connection that sends them
+    /// and then closes would feed it.
+    fn read_bytes(mut bytes: &[u8]) -> Result<Option<Request>, HttpError> {
+        let metrics = HttpMetrics::new(&alid_obs::Registry::new());
+        read_request(&mut bytes, &mut Vec::new(), &metrics)
+    }
+
+    /// The outcomes a client may cause: no request, a request, or a
+    /// 400, 413 or 501 refusal.
+    fn expected_outcome(result: &Result<Option<Request>, HttpError>) -> Result<(), String> {
+        match result {
+            Ok(_) => Ok(()),
+            Err(e) if matches!(e.status, 400 | 413 | 501) => Ok(()),
+            Err(e) => Err(format!("status {} ({})", e.status, e.message)),
+        }
+    }
+
+    /// Head fragments for byte soups that reach past the request line.
+    const FRAGMENTS: [&str; 15] = [
+        "POST ",
+        "GET ",
+        "/ingest",
+        "?k=2",
+        " HTTP/1.1",
+        "\r\n",
+        "\n",
+        ": ",
+        "Content-Length: ",
+        "18446744073709551616",
+        "99999999",
+        "12",
+        "Transfer-Encoding: chunked",
+        "Expect: 100-continue",
+        "Connection: close",
+    ];
+
+    #[test]
+    fn the_unmutated_ingest_request_parses() {
+        let (request, body) = ingest_request();
+        let parsed = read_bytes(&request).ok().flatten().expect("a request");
+        assert_eq!((parsed.method.as_str(), parsed.path.as_str()), ("POST", "/ingest"));
+        assert_eq!(parsed.body, body);
+        assert!(parsed.keep_alive);
+        let oversized =
+            format!("POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let refused = read_bytes(oversized.as_bytes()).err().expect("refused");
+        assert_eq!(refused.status, 413);
+    }
+
+    /// Every truncation and every one-byte mutation of a valid ingest
+    /// request gets an expected outcome.
+    #[test]
+    fn damaged_ingest_requests_get_an_expected_outcome() {
+        let (request, _) = ingest_request();
+        let truncations = (0..request.len()).map(|cut| request[..cut].to_vec());
+        let mutations = (0..request.len()).flat_map(|i| {
+            let request = &request;
+            (0..=255u8).map(move |byte| {
+                let mut damaged = request.clone();
+                damaged[i] = byte;
+                damaged
+            })
+        });
+        for bytes in truncations.chain(mutations) {
+            let outcome = expected_outcome(&read_bytes(&bytes));
+            assert!(outcome.is_ok(), "{:?}: {outcome:?}", String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes never panic the head parser.
+        #[test]
+        fn arbitrary_bytes_get_an_expected_outcome(
+            bytes in proptest::collection::vec(0u8..=255, 0..512)
+        ) {
+            let outcome = expected_outcome(&read_bytes(&bytes));
+            proptest::prop_assert!(outcome.is_ok(), "{bytes:?}: {outcome:?}");
+        }
+
+        /// Soups of head fragments and stray bytes reach the header
+        /// and body branches and still never panic.
+        #[test]
+        fn fragment_soups_get_an_expected_outcome(
+            request_line in 0usize..2,
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len() + 1, 0..24),
+            stray in 0u8..=255
+        ) {
+            let mut bytes = Vec::new();
+            if request_line == 1 {
+                bytes.extend_from_slice(b"POST /ingest HTTP/1.1\r\n");
+            }
+            for p in picks {
+                match FRAGMENTS.get(p) {
+                    Some(f) => bytes.extend_from_slice(f.as_bytes()),
+                    None => bytes.push(stray),
+                }
+            }
+            let outcome = expected_outcome(&read_bytes(&bytes));
+            proptest::prop_assert!(outcome.is_ok(), "{:?}: {outcome:?}", String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -106,9 +106,9 @@ fn main() -> ExitCode {
     match argv.first().map(String::as_str) {
         Some("serve") => match alid::service::cli::serve_main(&argv[1..]) {
             Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                note(msg);
-                ExitCode::from(2)
+            Err(e) => {
+                note(&e);
+                ExitCode::from(e.exit_code())
             }
         },
         Some("detect") => detect_main(&argv[1..]),

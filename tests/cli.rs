@@ -2,8 +2,10 @@
 //! output before the binary writes. A closed stdout ends the run with
 //! exit 0 and no message; a closed stderr keeps the documented code (2
 //! for a usage error). Neither may surface as a panic (exit 101).
+//! `alid serve` exits 1, not the usage code, when it cannot start.
 
 use std::io::pipe;
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -75,4 +77,50 @@ fn closed_stderr_keeps_the_usage_exit_code() {
         assert!(out.stdout.is_empty(), "alid {args:?} wrote to stdout");
     }
     let _ = std::fs::remove_file(path);
+}
+
+/// Runs `alid serve` with a fresh 2-d service on the given extra
+/// flags, capturing both outputs.
+fn serve(extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_alid"))
+        .args(["serve", "--dim", "2", "--k", "1", "--http-workers", "1"])
+        .args(extra)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run alid serve")
+}
+
+#[test]
+fn serve_exits_1_when_its_address_is_taken() {
+    let taken = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = taken.local_addr().expect("local address").to_string();
+    let out = serve(&["--addr", &addr]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("binding"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no readiness line: {}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn serve_exits_1_when_its_journal_cannot_be_opened() {
+    let file = std::env::temp_dir().join(format!("alid-cli-{}-journal-file", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("write the file");
+    let journal = file.join("j");
+    // The taken address keeps a regression from serving forever: past
+    // the journal, the bind fails too.
+    let taken = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = taken.local_addr().expect("local address").to_string();
+    let out = serve(&["--addr", &addr, "--journal", journal.to_str().expect("UTF-8 temp path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("recovering journal"), "{stderr}");
+    let _ = std::fs::remove_file(file);
+}
+
+#[test]
+fn serve_usage_errors_still_exit_2() {
+    let out = serve(&["--delta", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage"), "{stderr}");
 }

@@ -82,8 +82,10 @@ impl RoundStats {
 ///
 /// `rounds` records every round a pass ran, in order; a single-worker
 /// pass runs one width-1 round per detection, so it speculates
-/// exactly what it accepts. The telemetry is a *byproduct* of the
-/// schedule and — unlike the clustering — not worker-count invariant.
+/// exactly what it accepts. Seeds a streaming sweep settles from their
+/// first-ball lists run no detection and appear in no round. The
+/// telemetry is a *byproduct* of the schedule and — unlike the
+/// clustering — not worker-count invariant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PeelStats {
     /// Per-round telemetry of every round, in order.
@@ -198,6 +200,37 @@ fn obs_metrics() -> &'static PeelMetrics {
     })
 }
 
+/// The streaming sweep's first-ball lists, and the work they did in one
+/// peel pass.
+///
+/// `lists[i]` must hold every item that shares an LSH bucket with item
+/// `i`, lies within `params.first_roi_radius` of it, and may be alive
+/// during the pass; it may hold dead items too. Then a seed with no
+/// alive listed item is exactly what Algorithm 2's `c = 1` special case
+/// would return: CIVS finds nothing inside the first ROI, so the
+/// detection certifies the seed alone.
+pub(crate) struct FirstBalls<'a> {
+    lists: &'a [Vec<u32>],
+    /// Lists consulted, one per seed turn.
+    pub(crate) checks: u64,
+    /// Seeds resolved as singletons without `detect_one`.
+    pub(crate) lone: u64,
+}
+
+impl<'a> FirstBalls<'a> {
+    pub(crate) fn new(lists: &'a [Vec<u32>]) -> Self {
+        Self { lists, checks: 0, lone: 0 }
+    }
+
+    /// Whether `seed`'s first ball holds no alive item.
+    fn lone(&mut self, index: &LshIndex, seed: u32) -> bool {
+        self.checks += 1;
+        let lone = self.lists[seed as usize].iter().all(|&j| !index.is_alive(j));
+        self.lone += u64::from(lone);
+        lone
+    }
+}
+
 /// One full detect-and-peel pass over the alive items of an existing
 /// index, in rounds of concurrent seeds on `params.exec` (see the
 /// module docs). Seeds scan ascending from `from`; every detection
@@ -206,18 +239,28 @@ fn obs_metrics() -> &'static PeelMetrics {
 /// sequential protocol produces. Round telemetry accumulates into
 /// `stats`.
 ///
+/// With `first_balls`, the lowest alive seed is first checked against
+/// its list, at its own turn: an earlier detection may still absorb an
+/// item whose first ball was empty when the pass began. While that
+/// seed is lone, the pass records it as the singleton
+/// `{members: [seed], weights: [1.0], density: 0.0}` and tombstones it,
+/// with no `detect_one` and no round; the first seed that is not lone
+/// opens a round as usual. A pass only removes items, so the singleton
+/// is the one `detect_one` would return.
+///
 /// Shared by [`Peeler::detect_all`] (fresh index over a batch),
 /// [`detect_on_subset`] and `StreamingAlid::sweep` (the streaming
 /// index with attached items tombstoned), so all drivers ride the same
-/// path. Peeled items are tombstoned and never leave the bucket lists,
-/// so the index keeps its whole hash-table memory for as long as it
-/// lives.
+/// path; only the sweep passes `first_balls`. Peeled items are
+/// tombstoned and never leave the bucket lists, so the index keeps its
+/// whole hash-table memory for as long as it lives.
 pub(crate) fn peel_pass(
     ds: &Dataset,
     params: &AlidParams,
     index: &mut LshIndex,
     cost: &Arc<CostModel>,
     from: u32,
+    mut first_balls: Option<&mut FirstBalls<'_>>,
     stats: &mut PeelStats,
 ) -> Vec<(u32, DetectedCluster)> {
     let n = ds.len() as u32;
@@ -225,7 +268,23 @@ pub(crate) fn peel_pass(
     let mut width = max_width;
     let mut next_seed = from;
     let mut detections = Vec::new();
-    while let Some(seeds) = next_alive_batch_from(index, &mut next_seed, n, width) {
+    loop {
+        if let Some(balls) = first_balls.as_deref_mut() {
+            while let Some(seed) = next_alive_from(index, &mut next_seed, n) {
+                if !balls.lone(index, seed) {
+                    break;
+                }
+                let cluster =
+                    DetectedCluster { members: vec![seed], weights: vec![1.0], density: 0.0 };
+                debug_assert!(
+                    same_bits(&detect_one(ds, params, index, seed, cost).cluster, &cluster),
+                    "seed {seed} has an empty first ball, but detect_one grows it"
+                );
+                index.remove(seed);
+                detections.push((seed, cluster));
+            }
+        }
+        let Some(seeds) = next_alive_batch_from(index, &mut next_seed, n, width) else { break };
         let mut round_span = alid_obs::trace::span("peel.round");
         round_span.count("width", seeds.len() as u64);
         let outcomes = params.exec.map_tasks(&seeds, |&s| detect_one(ds, params, index, s, cost));
@@ -303,6 +362,14 @@ fn peel(index: &mut LshIndex, seed: u32, members: &[u32]) {
     }
 }
 
+/// Whether two clusters agree bit for bit, weights and density included.
+fn same_bits(a: &DetectedCluster, b: &DetectedCluster) -> bool {
+    let bits = |c: &DetectedCluster| {
+        (c.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(), c.density.to_bits())
+    };
+    a.members == b.members && bits(a) == bits(b)
+}
+
 /// Runs the full detect-and-peel protocol on an arbitrary *member
 /// union* of an existing data set — the entry point the cross-shard
 /// reducer uses to re-detect on the union of candidate fragments
@@ -346,7 +413,7 @@ pub fn detect_on_subset(
     let sub = ds.subset(&rows);
     let mut index = LshIndex::build(&sub, params.lsh, cost);
     let mut stats = PeelStats::default();
-    let detections = peel_pass(&sub, params, &mut index, cost, 0, &mut stats);
+    let detections = peel_pass(&sub, params, &mut index, cost, 0, None, &mut stats);
     detections
         .into_iter()
         .map(|(_seed, mut cluster)| {
@@ -453,6 +520,7 @@ impl<'a> Peeler<'a> {
             &mut self.index,
             &self.cost,
             self.next_seed,
+            None,
             &mut stats,
         );
         clustering.clusters.extend(detections.into_iter().map(|(_seed, cluster)| cluster));

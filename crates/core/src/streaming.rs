@@ -30,6 +30,17 @@
 //! only clusters the kernel test would refuse, so every output is the
 //! exhaustive test's, while a refused pair costs `O(d)` instead of
 //! `O(|c| · d)`.
+//!
+//! Every pending item also keeps a *first-ball list*: the pending items
+//! that share an LSH bucket with it and lie within
+//! `params.first_roi_radius`. `push` fills both lists of a pair from the
+//! query the attachment test already runs; collisions and distances are
+//! symmetric, so the later arrival records the pair. When a sweep's
+//! peel pass reaches a seed whose list holds no alive item, Algorithm
+//! 2's `c = 1` special case fixes the answer — the seed alone — so the
+//! pass records that singleton without running `detect_one`. An item's
+//! list is dropped once it is assigned, and `from_state` rebuilds the
+//! lists like the immunity balls.
 
 use std::sync::{Arc, OnceLock};
 
@@ -40,8 +51,9 @@ use alid_affinity::kernel::LaplacianKernel;
 use alid_affinity::vector::Dataset;
 use alid_lsh::LshIndex;
 
+use crate::civs::center_distances;
 use crate::config::AlidParams;
-use crate::peel::{peel_pass, PeelStats};
+use crate::peel::{peel_pass, FirstBalls, PeelStats};
 
 /// What happened to one ingested item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,6 +204,16 @@ impl AttachWork {
     }
 }
 
+/// `alid_work_total{phase="stream",unit=<unit>}` in the global
+/// registry.
+fn stream_work(unit: &'static str) -> Arc<alid_obs::Counter> {
+    alid_obs::global().counter(
+        "alid_work_total",
+        "Hardware-independent work done, by phase and unit",
+        &[("phase", "stream"), ("unit", unit)],
+    )
+}
+
 /// `alid_work_total{phase="stream",unit="attach_tests"}` and
 /// `{…,unit="attach_prunes"}`: candidate clusters the attachment rule
 /// evaluated with the kernel, and those the immunity ball skipped, on
@@ -201,14 +223,17 @@ impl AttachWork {
 /// than omitting the series.
 fn attach_counters() -> &'static (Arc<alid_obs::Counter>, Arc<alid_obs::Counter>) {
     static COUNTERS: OnceLock<(Arc<alid_obs::Counter>, Arc<alid_obs::Counter>)> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let r = alid_obs::global();
-        let help = "Hardware-independent work done, by phase and unit";
-        (
-            r.counter("alid_work_total", help, &[("phase", "stream"), ("unit", "attach_tests")]),
-            r.counter("alid_work_total", help, &[("phase", "stream"), ("unit", "attach_prunes")]),
-        )
-    })
+    COUNTERS.get_or_init(|| (stream_work("attach_tests"), stream_work("attach_prunes")))
+}
+
+/// `alid_work_total{phase="stream",unit="first_ball_checks"}` and
+/// `{…,unit="lone_seeds"}`: first-ball lists the sweeps' peel passes
+/// consulted, one per seed turn, and the seeds those lists resolved as
+/// singletons without `detect_one`. Registered by the first sweep that
+/// re-peels, so `/metrics` reports 0 rather than omitting the series.
+fn first_ball_counters() -> &'static (Arc<alid_obs::Counter>, Arc<alid_obs::Counter>) {
+    static COUNTERS: OnceLock<(Arc<alid_obs::Counter>, Arc<alid_obs::Counter>)> = OnceLock::new();
+    COUNTERS.get_or_init(|| (stream_work("first_ball_checks"), stream_work("lone_seeds")))
 }
 
 /// Incremental dominant-cluster maintenance over a stream.
@@ -225,17 +250,28 @@ pub struct StreamingAlid {
     balls: Vec<ImmunityBall>,
     assigned: Vec<Option<usize>>,
     pending: Vec<u32>,
+    /// Per-item first-ball lists (parallel to `data`): for a pending
+    /// item, the items that share an LSH bucket with it, lie within
+    /// `params.first_roi_radius`, and were pending when the later of
+    /// the two arrived, ascending. Empty once the item is assigned.
+    /// Derived state, rebuilt in `from_state`.
+    first_balls: Vec<Vec<u32>>,
     batch: usize,
     since_sweep: usize,
     stats: PeelStats,
-    /// Test oracle: evaluate every candidate with the kernel and
-    /// skip none.
+    /// Test oracle: evaluate every attachment candidate with the
+    /// kernel, withhold the first-ball lists from the re-peel, and so
+    /// run `detect_one` on every seed.
     #[cfg(test)]
     exhaustive: bool,
     /// Second-chance candidates tested and skipped over this
     /// instance's lifetime.
     #[cfg(test)]
     second_chance: AttachWork,
+    /// Seeds the first-ball lists resolved over this instance's
+    /// lifetime.
+    #[cfg(test)]
+    lone_seeds: u64,
 }
 
 impl StreamingAlid {
@@ -258,6 +294,7 @@ impl StreamingAlid {
             balls: Vec::new(),
             assigned: Vec::new(),
             pending: Vec::new(),
+            first_balls: Vec::new(),
             batch,
             since_sweep: 0,
             stats: PeelStats::default(),
@@ -265,6 +302,8 @@ impl StreamingAlid {
             exhaustive: false,
             #[cfg(test)]
             second_chance: AttachWork::default(),
+            #[cfg(test)]
+            lone_seeds: 0,
         }
     }
 
@@ -307,8 +346,9 @@ impl StreamingAlid {
     // the per-item [`Self::assignments`]: an item is assigned exactly
     // when it is a member of some cluster (attachment and promotion
     // both add it to `members`), so they are derived from the clusters,
-    // and so are the immunity balls. Telemetry ([`Self::peel_stats`])
-    // is excluded too: it never feeds back into detection.
+    // and so are the immunity balls and the first-ball lists. Telemetry
+    // ([`Self::peel_stats`]) is excluded too: it never feeds back into
+    // detection.
 
     /// The parameters this stream was configured with (persistence
     /// surface; also what a snapshot must reproduce for determinism).
@@ -350,12 +390,19 @@ impl StreamingAlid {
     /// afresh (the paper's Section 4.3 numbers describe the live
     /// process, not the snapshot history).
     ///
+    /// The first-ball lists are rebuilt by replaying the arrivals of the
+    /// pending items, which records every pair that is still pending.
+    /// A live list may also hold items assigned since; they are dead in
+    /// every sweep, so the rebuilt lists decide every seed the same way.
+    ///
     /// # Errors
     /// Describes the first violation when `batch == 0`, when
     /// `clusters` and `pair_sums` lengths differ, when a cluster member
     /// or pending item is out of bounds, when an item is listed in two
-    /// clusters, or when a pending item is a cluster member — corrupt
-    /// snapshots are refused instead of detecting nonsense.
+    /// clusters, when a pending item is a cluster member, when
+    /// `pending` is not strictly ascending, or when an item is neither
+    /// in a cluster nor pending — corrupt snapshots are refused instead
+    /// of detecting nonsense.
     #[expect(clippy::too_many_arguments)]
     pub fn from_state(
         params: AlidParams,
@@ -392,12 +439,29 @@ impl StreamingAlid {
                 Some(None) => {}
             }
         }
+        // A live buffer is strictly ascending and, with the clusters,
+        // covers every item. The sweep tombstones by that, and an orphan
+        // would be seeded with no first-ball list.
+        if let Some(w) = pending.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(if w[0] == w[1] {
+                format!("pending item {} is listed twice", w[0])
+            } else {
+                format!("pending items {} and {} are out of order", w[0], w[1])
+            });
+        }
+        let mut listed = pending.iter().copied().peekable();
+        for (i, a) in assigned.iter().enumerate() {
+            if a.is_none() && listed.next_if_eq(&(i as u32)).is_none() {
+                return Err(format!("item {i} is neither in a cluster nor pending"));
+            }
+        }
         // `build` runs the insert path row by row: identical code path —
         // identical buckets — to the instance being restored.
         let index = LshIndex::build(&data, params.lsh, &cost);
         let balls =
             clusters.iter().map(|c| ImmunityBall::of(&params.kernel, &data, &c.members)).collect();
-        Ok(Self {
+        let first_balls = vec![Vec::new(); data.len()];
+        let mut stream = Self {
             params,
             cost,
             data,
@@ -407,6 +471,7 @@ impl StreamingAlid {
             balls,
             assigned,
             pending,
+            first_balls,
             batch,
             since_sweep,
             stats: PeelStats::default(),
@@ -414,7 +479,15 @@ impl StreamingAlid {
             exhaustive: false,
             #[cfg(test)]
             second_chance: AttachWork::default(),
-        })
+            #[cfg(test)]
+            lone_seeds: 0,
+        };
+        for k in 0..stream.pending.len() {
+            let p = stream.pending[k];
+            let hits = stream.index.query(stream.data.get(p as usize));
+            stream.record_first_ball(p, &hits);
+        }
+        Ok(stream)
     }
 
     /// Most recent peel rounds retained in
@@ -423,7 +496,8 @@ impl StreamingAlid {
     pub const MAX_STATS_ROUNDS: usize = 256;
 
     /// Conflict telemetry accumulated across every sweep's peel pass
-    /// (see [`PeelStats`]; empty until the first sweep detects). The
+    /// (see [`PeelStats`]; empty until the first sweep runs a
+    /// detection, which lone seeds never do). The
     /// totals cover the stream's whole lifetime; the per-round history
     /// holds at most [`Self::MAX_STATS_ROUNDS`] recent rounds.
     pub fn peel_stats(&self) -> &PeelStats {
@@ -462,11 +536,14 @@ impl StreamingAlid {
         let id = self.index.insert(v);
         self.data.push(v);
         self.assigned.push(None);
+        self.first_balls.push(Vec::new());
         self.since_sweep += 1;
-        if let Some(c) = self.try_attach(id) {
+        let hits = self.index.query(v);
+        if let Some(c) = self.try_attach(id, &hits) {
             self.assigned[id as usize] = Some(c);
             return StreamUpdate::Attached(c);
         }
+        self.record_first_ball(id, &hits);
         self.pending.push(id);
         if self.since_sweep >= self.batch {
             let promoted = self.sweep();
@@ -486,10 +563,9 @@ impl StreamingAlid {
     }
 
     /// The infective-attachment test on the ingest path: candidate
-    /// clusters come from the item's LSH collisions, so the test is
-    /// local (`O(collisions + |c|)` per arrival).
-    fn try_attach(&mut self, id: u32) -> Option<usize> {
-        let hits = self.index.query(self.data.get(id as usize));
+    /// clusters come from the item's LSH collisions `hits`, so the test
+    /// is local (`O(collisions + |c|)` per arrival).
+    fn try_attach(&mut self, id: u32, hits: &[u32]) -> Option<usize> {
         let mut candidates: Vec<usize> =
             hits.iter().filter_map(|&h| self.assigned.get(h as usize).copied().flatten()).collect();
         candidates.sort_unstable();
@@ -498,6 +574,35 @@ impl StreamingAlid {
         let attached = self.attach_among(id, &candidates, &mut work);
         work.publish();
         attached
+    }
+
+    /// Enters the pending item `id` into the first-ball lists: every
+    /// pending item among its LSH collisions `hits` that arrived before
+    /// it and lies within `first_roi_radius` joins `id`'s list, and
+    /// `id` joins theirs. Distances come from CIVS's own batch, whose
+    /// per-pair terms do not depend on which item is the centre, so
+    /// each pair gets the distance either item's `c = 1` CIVS computes.
+    fn record_first_ball(&mut self, id: u32, hits: &[u32]) {
+        let mates: Vec<u32> = hits
+            .iter()
+            .copied()
+            .filter(|&h| h < id && self.assigned[h as usize].is_none())
+            .collect();
+        let kernel = &self.params.kernel;
+        let dists = center_distances(&self.data, kernel, &mates, self.data.get(id as usize));
+        for (&h, &d) in mates.iter().zip(&dists) {
+            if d <= self.params.first_roi_radius {
+                self.first_balls[h as usize].push(id);
+                self.first_balls[id as usize].push(h);
+            }
+        }
+    }
+
+    /// Assigns `id` to cluster `c` and drops its first-ball list: an
+    /// assigned item never returns to the buffer.
+    fn assign(&mut self, id: u32, c: usize) {
+        self.assigned[id as usize] = Some(c);
+        self.first_balls[id as usize] = Vec::new();
     }
 
     /// Read-only infective-attachment evaluation: among `candidates`,
@@ -562,6 +667,16 @@ impl StreamingAlid {
         best.map(|(d, c, s)| (c, d, s))
     }
 
+    /// Whether the sweep's peel pass may resolve seeds from their
+    /// first-ball lists.
+    fn consults_first_balls(&self) -> bool {
+        #[cfg(test)]
+        if self.exhaustive {
+            return false;
+        }
+        true
+    }
+
     /// Whether cluster `c`'s immunity ball proves `v` immune to it.
     fn immune(&self, c: usize, v: &[f64]) -> bool {
         #[cfg(test)]
@@ -616,7 +731,7 @@ impl StreamingAlid {
         let mut work = AttachWork::default();
         for id in std::mem::take(&mut self.pending) {
             match self.attach_among(id, &all, &mut work) {
-                Some(c) => self.assigned[id as usize] = Some(c),
+                Some(c) => self.assign(id, c),
                 None => still.push(id),
             }
         }
@@ -633,7 +748,9 @@ impl StreamingAlid {
         // lowest alive seed, detect, peel, repeat, in rounds of
         // concurrent seeds on `params.exec` — visits
         // precisely the seeds the old per-buffer loop did, in the same
-        // order, for any worker count.
+        // order, for any worker count. A seed whose first-ball list
+        // holds no alive item at its turn is recorded as its own
+        // singleton without a detection (see `peel_pass`).
         for (i, a) in self.assigned.iter().enumerate() {
             if a.is_some() {
                 self.index.remove(i as u32);
@@ -642,8 +759,24 @@ impl StreamingAlid {
         self.pending.clear();
         // These tombstones are transient: restore_all below revives the
         // assigned items so future attachment queries still find them.
-        let detections =
-            peel_pass(&self.data, &self.params, &mut self.index, &self.cost, 0, &mut self.stats);
+        let consult = self.consults_first_balls();
+        let mut first_balls = FirstBalls::new(&self.first_balls);
+        let detections = peel_pass(
+            &self.data,
+            &self.params,
+            &mut self.index,
+            &self.cost,
+            0,
+            consult.then_some(&mut first_balls),
+            &mut self.stats,
+        );
+        let (checks, lone) = first_ball_counters();
+        checks.add(first_balls.checks);
+        lone.add(first_balls.lone);
+        #[cfg(test)]
+        {
+            self.lone_seeds += first_balls.lone;
+        }
         // The stream is unbounded; keep the per-round history a
         // bounded window (totals keep accumulating forever).
         self.stats.trim_rounds(Self::MAX_STATS_ROUNDS);
@@ -660,7 +793,7 @@ impl StreamingAlid {
             if is_dominant {
                 let slot = self.clusters.len();
                 for &m in &cluster.members {
-                    self.assigned[m as usize] = Some(slot);
+                    self.assign(m, slot);
                 }
                 // Pairwise sum from the density identity under the
                 // converged weights ~ uniform: Σpairs = π m² / 2.
@@ -916,8 +1049,9 @@ mod tests {
         let after_first = s.peel_stats().speculated;
         assert!(after_first > 0, "the promoting sweep ran detections");
         for i in 0..8 {
-            s.push(&[100.0 + i as f64 * 29.0]); // noise: swept but never promoted
+            s.push(&[100.0 + i as f64 * 0.05]); // a second tight run
         }
+        assert_eq!(s.clusters().len(), 2, "the later sweep promotes the second run");
         assert!(
             s.peel_stats().speculated > after_first,
             "later sweeps keep accumulating into the same stats"
@@ -1061,6 +1195,71 @@ mod tests {
         assert!(res.err().expect("refused").contains("is in cluster 0"));
     }
 
+    /// One 8-item cluster plus three buffered noise items (ids 8–10).
+    fn stream_with_noise() -> StreamingAlid {
+        let mut s = clustered_stream();
+        s.push(&[700.0]);
+        s.push(&[900.0]);
+        assert_eq!(s.pending(), &[8, 9, 10]);
+        s
+    }
+
+    #[test]
+    fn from_state_rejects_a_repeated_pending_item() {
+        let s = stream_with_noise();
+        let res = from_parts(&s, s.clusters().to_vec(), s.pair_sums().to_vec(), vec![8, 9, 9, 10]);
+        assert!(res.err().expect("refused").contains("pending item 9 is listed twice"));
+    }
+
+    #[test]
+    fn from_state_rejects_an_unordered_pending_list() {
+        let s = stream_with_noise();
+        let res = from_parts(&s, s.clusters().to_vec(), s.pair_sums().to_vec(), vec![8, 10, 9]);
+        assert!(res.err().expect("refused").contains("pending items 10 and 9 are out of order"));
+    }
+
+    #[test]
+    fn from_state_rejects_an_item_neither_clustered_nor_pending() {
+        let s = stream_with_noise();
+        let res = from_parts(&s, s.clusters().to_vec(), s.pair_sums().to_vec(), vec![8, 10]);
+        assert!(res.err().expect("refused").contains("item 9 is neither in a cluster nor pending"));
+    }
+
+    /// A seed whose first ball is empty when the sweep starts may still
+    /// be absorbed by an earlier seed's detection, whose ROI outgrows
+    /// `first_roi_radius`. The list is consulted at the seed's turn, so
+    /// the item joins that cluster and is never recorded as a singleton
+    /// as well.
+    #[test]
+    fn a_seed_lone_at_sweep_start_can_still_be_absorbed() {
+        let kernel = LaplacianKernel::l2(1.0);
+        let mut p = AlidParams::new(kernel);
+        p.first_roi_radius = kernel.distance_at(0.9);
+        p.density_threshold = 0.3;
+        p.min_cluster_size = 3;
+        p.lsh = alid_lsh::LshParams::new(4, 1, 50.0, 7);
+        // Items 0 and 1 lie 0.05 apart; the rest form a loose cluster
+        // around them, each at least 0.25 from every other item.
+        let xs = [0.0, 0.05, 0.3, -0.25, 0.55, -0.5];
+        let run = |exhaustive: bool| {
+            let mut s = StreamingAlid::new(1, p, xs.len(), CostModel::shared());
+            s.exhaustive = exhaustive;
+            for (i, &x) in xs.iter().enumerate() {
+                if i + 1 == xs.len() {
+                    assert_eq!(s.first_balls[0], vec![1], "item 0's first ball holds item 1");
+                    assert!(s.first_balls[2].is_empty(), "item 2 is lone before the sweep");
+                }
+                s.push(&[x]);
+            }
+            s
+        };
+        let s = run(false);
+        assert_eq!(s.clusters().len(), 1, "seed 0's detection is promoted");
+        assert!(s.clusters()[0].members.contains(&2), "and it absorbs item 2");
+        assert!(s.pending().iter().all(|&i| s.assignments()[i as usize].is_none()));
+        assert_same_state(&s, &run(true), "lone seed absorbed");
+    }
+
     /// Bursts of 60 arrivals: every other arrival is drawn around the
     /// burst's centre (jitter 0.05 per coordinate) and the rest is
     /// noise, half of it uniform in a box of half-width 25 and half
@@ -1109,13 +1308,26 @@ mod tests {
             let fresh = ImmunityBall::of(&a.params.kernel, &a.data, &c.members);
             assert_eq!(ball, &fresh, "{at}: a ball is stale");
         }
+        assert_eq!(a.first_balls, b.first_balls, "{at}: first-ball lists");
+        for (i, list) in a.first_balls.iter().enumerate() {
+            assert!(a.assigned[i].is_none() || list.is_empty(), "{at}: item {i} kept its list");
+        }
     }
 
-    /// The immunity-ball skip is exact: an instance that skips and an
-    /// exhaustive one that evaluates every candidate with the kernel
-    /// agree after every push, across seeds, worker counts and a
-    /// `from_state` round trip, while the skip spares at least 90% of
-    /// the second chance's kernel passes.
+    /// `s`'s first-ball lists without the items assigned since they
+    /// were recorded: what `from_state` rebuilds.
+    fn pending_first_balls(s: &StreamingAlid) -> Vec<Vec<u32>> {
+        let pending = |j: &&u32| s.assigned[**j as usize].is_none();
+        s.first_balls.iter().map(|l| l.iter().filter(pending).copied().collect()).collect()
+    }
+
+    /// Both sweep skips are exact. An instance that skips immune
+    /// candidates and resolves lone seeds from their first-ball lists,
+    /// and an exhaustive one that evaluates every candidate with the
+    /// kernel and runs `detect_one` on every seed, agree after every
+    /// push, across seeds, worker counts and a `from_state` round trip.
+    /// Meanwhile the balls spare at least 90% of the second chance's
+    /// kernel passes, and the lists resolve most seeds.
     #[test]
     fn immunity_balls_change_no_output_of_the_exhaustive_test() {
         let mut worker_counts = vec![1usize, 4, 8];
@@ -1140,11 +1352,25 @@ mod tests {
                 exhaustive.exhaustive = true;
                 for (i, v) in items.iter().enumerate() {
                     if i == N / 2 {
-                        let carried = (pruned.second_chance, exhaustive.second_chance);
+                        let live = pending_first_balls(&pruned);
+                        let carried = (
+                            pruned.second_chance,
+                            exhaustive.second_chance,
+                            pruned.lone_seeds,
+                            std::mem::take(&mut pruned.stats),
+                            std::mem::take(&mut exhaustive.stats),
+                        );
                         pruned = restore(&pruned).expect("restore");
                         exhaustive = restore(&exhaustive).expect("restore");
                         exhaustive.exhaustive = true;
-                        (pruned.second_chance, exhaustive.second_chance) = carried;
+                        assert_eq!(pruned.first_balls, live, "rebuilt first-ball lists");
+                        (
+                            pruned.second_chance,
+                            exhaustive.second_chance,
+                            pruned.lone_seeds,
+                            pruned.stats,
+                            exhaustive.stats,
+                        ) = carried;
                     }
                     let at = format!("seed {seed}, {workers} workers, push {i}");
                     assert_eq!(pruned.push(v), exhaustive.push(v), "{at}: push outcome");
@@ -1161,6 +1387,22 @@ mod tests {
                     sc.tests + sc.prunes
                 );
                 assert!(sc.tests > 0, "some second-chance candidates reach the kernel");
+                assert_eq!(exhaustive.lone_seeds, 0, "the oracle detects from every seed");
+                let (lone, detected) = (pruned.lone_seeds, pruned.stats.accepted);
+                assert_eq!(
+                    lone + detected,
+                    exhaustive.stats.accepted,
+                    "every seed is resolved lone or detected"
+                );
+                assert!(detected > 0, "some seeds still reach detect_one");
+                // Wider rounds also run `detect_one` on lone seeds that
+                // follow a detected one, so the share is a one-worker
+                // figure: 93% at both seeds.
+                assert!(
+                    workers > 1 || lone * 10 >= (lone + detected) * 9,
+                    "seed {seed}: only {lone} of {} seeds resolved lone",
+                    lone + detected
+                );
                 assert!(pruned.clusters().len() >= 10, "the stream promotes its bursts");
             }
         }

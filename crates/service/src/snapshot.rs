@@ -736,6 +736,33 @@ mod tests {
         assert!(msg.contains("pending item"), "{msg}");
     }
 
+    /// A live buffer is strictly ascending and, with the clusters,
+    /// covers every item, so a repeated pending item and an item that
+    /// is neither clustered nor pending are schema errors too.
+    #[test]
+    fn repeated_and_missing_pending_items_are_schema_errors() {
+        let edit_pending = |edit: fn(&mut Vec<Json>)| {
+            tampered(&snapshot_bytes(&populated_service()), |body| {
+                let Json::Arr(shards) = field_mut(body, "shard_states") else { panic!("shards") };
+                let buffering = shards
+                    .iter_mut()
+                    .find(|s| {
+                        s.get("pending").and_then(Json::as_arr).is_some_and(|p| !p.is_empty())
+                    })
+                    .expect("the fixture buffers noise");
+                let Json::Obj(fields) = buffering else { panic!("shard state is not an object") };
+                let Json::Arr(pending) = field_mut(fields, "pending") else { panic!("pending") };
+                edit(pending);
+            })
+        };
+        let repeated = schema_error(&edit_pending(|p| p.push(p[p.len() - 1].clone())));
+        assert!(repeated.contains("listed twice"), "{repeated}");
+        let missing = schema_error(&edit_pending(|p| {
+            p.pop();
+        }));
+        assert!(missing.contains("neither in a cluster nor pending"), "{missing}");
+    }
+
     /// Files written while the peel round width was still configurable
     /// carry `spec_adaptive` and `spec_initial_width` under `params`.
     /// Both shapes must restore to the same state: the fields are

@@ -9,7 +9,7 @@
 //! [`default_block_rows`] choice. Each cell reports best-of-reps
 //! per-pair nanoseconds; every blocked run is asserted bit-identical
 //! to the scalar output before its timing counts (the bench doubles
-//! as a parity harness, like `bench_speculation`).
+//! as a parity harness).
 //!
 //! Output: aligned tables on stdout plus
 //! `experiments/BENCH_kernels.json`.

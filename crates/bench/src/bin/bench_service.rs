@@ -10,8 +10,7 @@
 //! over the whole replay gives item throughput. Because routing and
 //! per-shard application are deterministic, the final `/clusters`
 //! answer must be identical across request batch sizes at a fixed
-//! shard count — the bench asserts it, doubling as a parity harness
-//! like `bench_speculation`.
+//! shard count — the bench asserts it, doubling as a parity harness.
 //!
 //! Output: an aligned table on stdout plus
 //! `experiments/BENCH_service.json` (stamped with the

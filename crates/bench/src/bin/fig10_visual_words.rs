@@ -25,7 +25,7 @@ fn main() {
         ds.truth.positive_count(),
         ds.truth.noise_count()
     );
-    let cfg = RunCfg::default().with_exec(args.exec());
+    let cfg = RunCfg::default();
     let recs = vec![
         run_palid(&ds, &cfg, 4),
         run_alid(&ds, &cfg),

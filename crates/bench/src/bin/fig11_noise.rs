@@ -21,7 +21,7 @@ fn main() {
     let args = parse_args();
     let scale = if args.full { 0.6 } else { 0.2 } * args.scale;
     let degrees = [0.0, 1.0, 2.0, 4.0, 6.0];
-    let cfg = RunCfg::default().with_exec(args.exec());
+    let cfg = RunCfg::default();
     let mut all = Vec::new();
     for corpus in ["nart", "sub-ndi"] {
         let mut rows = Vec::new();

@@ -32,7 +32,7 @@ fn main() {
     // The top factors push the matrices toward dense (low sparse
     // degree), where the paper's runtime blow-up of the baselines shows.
     let r_factors = [0.3, 0.8, 1.5, 3.0, 5.0, 8.0];
-    let cfg = RunCfg::default().with_exec(args.exec());
+    let cfg = RunCfg::default();
     let mut all = Vec::new();
     for ds in &datasets {
         let kernel = cfg.kernel(ds);

@@ -28,7 +28,7 @@ fn main() {
     };
     let sizes: Vec<usize> =
         sizes.iter().map(|&n| ((n as f64 * args.scale) as usize).max(200)).collect();
-    let cfg = RunCfg::default().with_exec(args.exec());
+    let cfg = RunCfg::default();
     let mut all = Vec::new();
 
     let panels: Vec<Panel> = vec![

@@ -25,7 +25,7 @@ fn main() {
     };
     let sizes: Vec<usize> =
         sizes.iter().map(|&n| ((n as f64 * args.scale) as usize).max(500)).collect();
-    let cfg = RunCfg::default().with_exec(args.exec());
+    let cfg = RunCfg::default();
     let mut rows = Vec::new();
     let mut all = Vec::new();
     let mut per_method: Vec<MethodSeries> = vec![

@@ -2,15 +2,14 @@
 //! artifact; used to size the quick-mode figure runs).
 
 use alid_bench::runners::*;
-use alid_bench::{parse_args, RunCfg};
+use alid_bench::RunCfg;
 use alid_data::sift::partial_duplicate_scene;
 use std::time::Instant;
 
 fn main() {
-    let args = parse_args();
     let ds = partial_duplicate_scene(50, 17);
     eprintln!("n = {}", ds.len());
-    let cfg = RunCfg::default().with_exec(args.exec());
+    let cfg = RunCfg::default();
     type Stage<'a> = (&'a str, Box<dyn Fn() -> RunRecord + 'a>);
     let stages: Vec<Stage> = vec![
         ("ALID", Box::new(|| run_alid(&ds, &cfg))),

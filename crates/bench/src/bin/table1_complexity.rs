@@ -36,15 +36,7 @@ fn main() {
         ("a*=n^eta (eta=0.9)".to_string(), Regime::Sublinear { eta: 0.9 }, 1.9, 1.8),
         (format!("a*<=P (P={p_cap})"), Regime::Bounded { p: p_cap }, 1.0, 0.0),
     ];
-    // Table 1 *is* the sequential cost counters: its only output fits
-    // log-log slopes of kernel evals / peak entries against the paper's
-    // theoretical growth orders, and parallel speculative peeling
-    // records discarded speculations' work (and raises the live-entries
-    // peak), which would silently distort the fitted slopes. So unlike
-    // the other figure binaries this one defaults to one worker; an
-    // explicit --workers=N still overrides for wall-clock comparisons.
-    let cfg =
-        RunCfg::default().with_exec(alid_exec::ExecPolicy::workers(args.workers.unwrap_or(1)));
+    let cfg = RunCfg::default();
     let mut rows = Vec::new();
     let mut records = Vec::new();
     for (label, regime, t_theory, s_theory) in regimes {

@@ -24,7 +24,7 @@ fn main() {
         ds.truth.cluster_count(),
         ds.truth.noise_count()
     );
-    let cfg = RunCfg::default().with_exec(args.exec());
+    let cfg = RunCfg::default();
     let executors = [1usize, 2, 4, 8];
     let mut rows = Vec::new();
     let mut records = Vec::new();

@@ -3,37 +3,8 @@
 //! its workload's properties can never drift apart.
 
 use alid_affinity::kernel::{LaplacianKernel, LpNorm};
-use alid_affinity::vector::Dataset;
 use alid_core::AlidParams;
-use alid_lsh::{signature_hamming, LshParams, ShardRouter};
-
-/// The interleaved-pair chain — the conflict-heavy workload of
-/// `tests/exec_parity.rs` and the `bench_speculation` overlap sweep.
-///
-/// `pairs` tight 1-d pairs at `sep` spacing, the two members of pair
-/// `b` holding the *interleaved* ids `b` and `pairs + b` (positions
-/// `sep·b` and `sep·b + 0.04`). Under the returned params (sharp
-/// kernel, wide first ROI, coarse LSH buckets), consecutive ids are
-/// spatially adjacent but immune to each other's pair: every
-/// detection's read set covers its id-neighbours while its cluster
-/// never does. At small `sep` any round speculating more than one
-/// seed conflicts — the adversarial extreme of the paper's
-/// overlapping-cluster sweeps (Section 5) and speculation's worst
-/// case; at large `sep` the read sets disconnect and speculation runs
-/// conflict-free.
-pub fn pair_chain(pairs: usize, sep: f64) -> (Dataset, AlidParams) {
-    let mut flat = vec![0.0; 2 * pairs];
-    for i in 0..pairs {
-        flat[i] = i as f64 * sep;
-        flat[pairs + i] = i as f64 * sep + 0.04;
-    }
-    let ds = Dataset::from_flat(1, flat);
-    let kernel = LaplacianKernel::l2(6.0);
-    let mut p = AlidParams::new(kernel);
-    p.first_roi_radius = 1.5; // iteration-1 ROI spans several pairs
-    let p = p.with_delta(64).with_lsh(LshParams::new(8, 4, 4.0, 41));
-    (ds, p)
-}
+use alid_lsh::{signature_hamming, ShardRouter};
 
 /// The hyperplane-straddling workload of the cross-shard reducer's
 /// acceptance tests (`tests/service.rs`) and the `bench_service`
@@ -165,6 +136,7 @@ pub fn straddling_cluster() -> StraddleFixture {
 mod tests {
     use super::*;
     use alid_affinity::cost::CostModel;
+    use alid_affinity::vector::Dataset;
     use alid_core::Peeler;
 
     /// The properties the service tests lean on: a deterministic
@@ -198,17 +170,5 @@ mod tests {
         let mut sizes: Vec<usize> = dominant.clusters.iter().map(|c| c.len()).collect();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![8, 12]);
-    }
-
-    /// The property both consumers lean on: the sequential pass
-    /// detects exactly the interleaved pairs.
-    #[test]
-    fn chain_detects_one_cluster_per_pair() {
-        let (ds, params) = pair_chain(6, 0.5);
-        let clustering = Peeler::new(&ds, params, CostModel::shared()).detect_all();
-        assert_eq!(clustering.clusters.len(), 6);
-        for (b, c) in clustering.clusters.iter().enumerate() {
-            assert_eq!(c.members, vec![b as u32, 6 + b as u32], "pair {b}");
-        }
     }
 }

@@ -12,7 +12,6 @@
 //! | `fig9_sift_scalability` | Fig. 9 — runtime / memory on SIFT subsets |
 //! | `fig10_visual_words` | Fig. 10 — qualitative visual-word detection |
 //! | `fig11_noise` | Fig. 11 — AVG-F vs noise degree, 8 methods |
-//! | `bench_speculation` | beyond the paper: speculative-peeling conflict rates and adaptive round width on overlap sweeps |
 //!
 //! Every binary runs at a laptop-friendly quick scale by default and at
 //! a larger scale with `--full`; absolute numbers differ from the
@@ -33,36 +32,25 @@ pub use runners::{RunCfg, RunRecord};
 
 /// Parses the common CLI convention of the figure binaries: `--full`
 /// switches to paper-leaning sizes, `--scale=X` multiplies data-set
-/// sizes, `--workers=N` pins the exec-layer worker count (the default
-/// is [`alid_exec::ExecPolicy::auto`]; results are byte-identical for
-/// any count, but parallel speculative peeling records the discarded
-/// speculations' work too — pass `--workers=1` when comparing raw cost
-/// counters against the paper's sequential growth orders).
+/// sizes. ALID peels sequentially, and PALID's executor counts are
+/// part of each binary's sweep, so there is no worker flag.
 pub fn parse_args() -> CliArgs {
     let mut full = false;
     let mut scale = 1.0f64;
-    let mut workers = None;
     for arg in std::env::args().skip(1) {
         if arg == "--full" {
             full = true;
         } else if let Some(v) = arg.strip_prefix("--scale=") {
             scale = v.parse().expect("--scale=<float>");
-        } else if let Some(v) = arg.strip_prefix("--workers=") {
-            let w: usize = v.parse().expect("--workers=<positive integer>");
-            assert!(w >= 1, "--workers must be at least 1");
-            workers = Some(w);
         } else if arg == "--help" || arg == "-h" {
-            eprintln!(
-                "options: --full (paper-leaning sizes), --scale=<f64>, \
-                 --workers=<n> (default: all cores)"
-            );
+            eprintln!("options: --full (paper-leaning sizes), --scale=<f64>");
             std::process::exit(0);
         } else {
             eprintln!("unknown option {arg}; try --help");
             std::process::exit(2);
         }
     }
-    CliArgs { full, scale, workers }
+    CliArgs { full, scale }
 }
 
 /// Parsed CLI options.
@@ -72,14 +60,4 @@ pub struct CliArgs {
     pub full: bool,
     /// Extra multiplier on data-set sizes.
     pub scale: f64,
-    /// Explicit exec-layer worker count (`None` = auto).
-    pub workers: Option<usize>,
-}
-
-impl CliArgs {
-    /// The execution policy the binaries hand to [`RunCfg`]:
-    /// `--workers=N` when given, every core otherwise.
-    pub fn exec(&self) -> alid_exec::ExecPolicy {
-        alid_exec::ExecPolicy::auto_or(self.workers)
-    }
 }

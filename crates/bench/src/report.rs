@@ -31,7 +31,6 @@ pub fn run_header(schema: &str, workers: usize) -> Vec<(&'static str, Json)> {
 /// The process-global metrics registry as a flat `series -> value`
 /// JSON object (histograms appear as their `_count`/`_sum` pair).
 pub fn metrics_snapshot() -> Json {
-    // alid-lint: allow(no-metric-branching) -- provenance exposition: values land in the report header, never in measured outputs
     let samples = alid_obs::global().snapshot_samples();
     Json::Obj(samples.into_iter().map(|s| (s.series, s.value.to_json())).collect())
 }

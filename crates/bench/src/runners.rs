@@ -22,7 +22,6 @@ use alid_core::palid::{palid_detect, PalidParams};
 use alid_core::{AlidParams, Peeler};
 use alid_data::groundtruth::LabeledDataset;
 use alid_data::metrics::{avg_f1, precision_recall};
-use alid_exec::ExecPolicy;
 use alid_lsh::{LshIndex, LshParams};
 use serde::{Json, Serialize};
 
@@ -48,13 +47,6 @@ pub struct RunCfg {
     pub halt: HaltPolicy,
     /// Base RNG seed.
     pub seed: u64,
-    /// Execution policy of ALID's speculative peeling and PALID's
-    /// mappers; every baseline and matrix build runs sequentially, as
-    /// the paper measures them. `Default` keeps it sequential so library
-    /// tests compare the paper's sequential cost traces; the figure
-    /// binaries override it from `--workers` (auto when absent) via
-    /// [`Self::with_exec`].
-    pub exec: ExecPolicy,
 }
 
 impl Default for RunCfg {
@@ -67,18 +59,11 @@ impl Default for RunCfg {
             noise_floor: 0.35,
             halt: HaltPolicy::StopBelowDensity { threshold: 0.5, patience: 20 },
             seed: 0xbe7c,
-            exec: ExecPolicy::sequential(),
         }
     }
 }
 
 impl RunCfg {
-    /// Replaces the execution policy (builder form for the binaries).
-    pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// The calibrated kernel for a data set (intra-cluster affinity at
     /// `target_affinity`, noise affinity at most `noise_floor`).
     pub fn kernel(&self, ds: &LabeledDataset) -> LaplacianKernel {
@@ -107,7 +92,6 @@ impl RunCfg {
         p.density_threshold = self.dominant_density;
         p.min_cluster_size = self.dominant_min_size;
         p.lsh.seed = self.seed;
-        p.exec = self.exec;
         p
     }
 }

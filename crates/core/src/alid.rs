@@ -33,16 +33,6 @@ pub struct AlidOutcome {
     /// `true` when the subgraph was certified global: the ROI reached
     /// the outer ball and CIVS produced no (infective) candidate.
     pub converged_globally: bool,
-    /// Every global id the detection *observed*: the seed plus every
-    /// candidate any CIVS retrieval surfaced inside an ROI (including
-    /// the outer-ball certification probe), ascending and deduplicated.
-    ///
-    /// This is the detection's read set on the alive/tombstone state of
-    /// the index: a rerun against an index whose removals are disjoint
-    /// from `touched` follows the identical trace and returns the
-    /// identical cluster. The speculative parallel peeler
-    /// (`Peeler::detect_all`) leans on exactly that guarantee.
-    pub touched: Vec<u32>,
 }
 
 /// Runs Algorithm 2 from `seed`. The LSH `index` provides candidate
@@ -63,7 +53,6 @@ pub fn detect_one(
     let mut state = LidState::seed(1);
     let mut lid_iterations = 0;
     let mut converged_globally = false;
-    let mut touched: Vec<u32> = vec![seed];
 
     let mut alpha: Vec<u32> = vec![seed];
     let mut weights: Vec<f64> = vec![1.0];
@@ -107,7 +96,6 @@ pub fn detect_one(
         }
         let dists = center_distances(ds, &kernel, &hits, &center);
         let psi = nearest_within(&hits, &dists, radius, params.delta);
-        touched.extend_from_slice(&psi);
         if psi.is_empty() {
             // Nothing new inside the scheduled radius. Before spending
             // further iterations on the θ(c) schedule, probe the outer
@@ -116,13 +104,8 @@ pub fn detect_one(
             // certifies x̂ as a global dense subgraph (Theorem 1). The
             // probe shares this iteration's support and centre, so it
             // filters the same hits at the same distances.
-            let certified = at_outer_ball || {
-                let probe = nearest_within(&hits, &dists, r_out, params.delta);
-                // The probe's hits gate certification, so they are part
-                // of the detection's read set.
-                touched.extend_from_slice(&probe);
-                probe.is_empty()
-            };
+            let certified =
+                at_outer_ball || nearest_within(&hits, &dists, r_out, params.delta).is_empty();
             if certified {
                 converged_globally = true;
                 break;
@@ -165,8 +148,6 @@ pub fn detect_one(
         weights: pairs.iter().map(|&(_, w)| w).collect(),
         density,
     };
-    touched.sort_unstable();
-    touched.dedup();
     if !converged_globally {
         uncertified.inc();
     }
@@ -175,12 +156,11 @@ pub fn detect_one(
         iterations: c.min(params.max_alid_iters),
         lid_iterations,
         converged_globally,
-        touched,
     }
 }
 
 /// `alid_detect_uncertified_total`: detections that exit with
-/// `converged_globally == false`, discarded speculations included.
+/// `converged_globally == false`.
 /// Registered by the first detection, so `/metrics` reports 0 rather
 /// than omitting the series.
 fn uncertified_counter() -> &'static alid_obs::Counter {
@@ -317,22 +297,6 @@ mod tests {
         assert_eq!(snap.entries_current, 0);
         // ...and the peak stayed well under the full n^2 = 169 matrix.
         assert!(snap.entries_peak < 100, "peak {} too close to n^2", snap.entries_peak);
-    }
-
-    #[test]
-    fn touched_covers_seed_and_members_and_is_sorted() {
-        let ds = fixture();
-        let p = params(&ds);
-        let idx = index(&ds, &p);
-        let out = detect_one(&ds, &p, &idx, 1, &CostModel::shared());
-        assert!(out.touched.contains(&1), "seed must be in the read set");
-        for m in &out.cluster.members {
-            assert!(out.touched.contains(m), "member {m} missing from read set");
-        }
-        let mut sorted = out.touched.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(out.touched, sorted, "touched must be ascending and unique");
     }
 
     #[test]

@@ -33,12 +33,12 @@ pub struct AlidParams {
     pub min_cluster_size: usize,
     /// LSH configuration for CIVS.
     pub lsh: LshParams,
-    /// Execution policy of the detection fan-outs: the peeling
-    /// driver's speculative multi-seed detection (batch and streaming)
-    /// and, in a service, the per-shard drain and sweep. Matrix and
-    /// index builds always run sequentially. Sequential by default; any
-    /// worker count produces byte-identical output (see
-    /// `Peeler::detect_all`).
+    /// Execution policy of a service's fan-out across shards: its
+    /// drain and forced sweep (`Service::drain`/`sweep`) are the only
+    /// readers. Peeling, streaming and the matrix and index builds run
+    /// sequentially, and PALID takes its own `PalidParams::exec`.
+    /// Sequential by default; any worker count produces byte-identical
+    /// output.
     pub exec: ExecPolicy,
 }
 
@@ -106,7 +106,7 @@ impl AlidParams {
         self
     }
 
-    /// Replaces the execution policy.
+    /// Replaces the execution policy (see [`Self::exec`]).
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self

@@ -7,43 +7,10 @@
 //! simply cannot retrieve them. The caller applies the final density
 //! filter ([`alid_affinity::Clustering::dominant`]).
 //!
-//! # Speculative parallel peeling
-//!
-//! Peeling looks inherently sequential — detection `k+1` runs against
-//! the index with cluster `k` already tombstoned — but detections of
-//! *well-separated* clusters never observe each other, and
-//! [`AlidOutcome::touched`](crate::alid::AlidOutcome) records exactly
-//! what each detection observed. [`Peeler::detect_all`] therefore
-//! peels in rounds: it runs the next `W` seeds concurrently against the
-//! round-start index, then accepts results in seed order as long as
-//! each detection's read set is still fully alive (i.e. disjoint from
-//! everything accepted earlier in the round), falling back to
-//! re-running from the first conflicting seed. Accepted results are
-//! provably the clusters the sequential protocol would have produced,
-//! so **any worker count yields byte-identical clusterings**. A single
-//! worker runs width-1 rounds through the same loop, which is exactly
-//! the sequential protocol. Only the clustering is schedule-invariant:
-//! the shared [`CostModel`] also records the work of discarded/re-run
-//! speculations, and `W` concurrent detections raise the live-entries
-//! peak — cost-measured harnesses comparing growth orders should keep
-//! the sequential policy (the default).
-//!
-//! # Round width
-//!
-//! A fixed `W = worker_count` wastes whole rounds on overlapping
-//! clusters (every speculation past the first conflicts or is
-//! absorbed) and is exactly right on well-separated ones. Since the
-//! acceptance rule is width-agnostic — any prefix of the alive-seed
-//! sequence speculated together commits the same accepted clusters —
-//! the round width is free to track the observed conflict structure.
-//! The first round runs at the worker count; after that the width is
-//! AIMD: a fully clean round doubles it, a round with discarded work
-//! (an absorbed seed or a conflict re-run) halves it, always within
-//! `[1, worker_count]`. Every round is recorded in [`PeelStats`]
-//! (speculated / accepted / absorbed / re-run per round), surfaced via
-//! [`Peeler::detect_all_with_stats`] and
-//! `StreamingAlid::peel_stats`, and summarized by the
-//! `bench_speculation` harness.
+//! Peeling runs one seed at a time, as the paper does: detection `k+1`
+//! runs against the index with cluster `k` already tombstoned, so no
+//! worker count enters the pass. The paper's parallel variant is
+//! PALID's independent detections ([`crate::palid`]).
 
 use std::sync::Arc;
 
@@ -55,78 +22,35 @@ use alid_lsh::LshIndex;
 use crate::alid::detect_one;
 use crate::config::AlidParams;
 
-/// Telemetry of one speculative peeling round.
+/// Telemetry of one peel round: one `detect_one` call, whose cluster
+/// is kept. Benchmark-only: the repository benchmark reads
+/// [`PeelStats`], and nothing in the program does.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundStats {
-    /// Seeds speculated this round (the round's width).
+    /// Seeds detected this round: always 1.
     pub speculated: usize,
-    /// Speculations committed as clusters.
+    /// Detections committed as clusters: always 1.
     pub accepted: usize,
-    /// Speculations discarded because an earlier acceptance in the
-    /// round absorbed their seed (the sequential pass would never have
-    /// seeded them — nothing is re-run).
-    pub absorbed: usize,
-    /// Speculations discarded because their read set went stale (a
-    /// conflict); they re-run against the updated index next round.
-    pub rerun: usize,
 }
 
-impl RoundStats {
-    /// Speculations whose detection work was thrown away.
-    pub fn wasted(&self) -> usize {
-        self.absorbed + self.rerun
-    }
-}
-
-/// Conflict telemetry of one or more peel passes.
-///
-/// `rounds` records every round a pass ran, in order; a single-worker
-/// pass runs one width-1 round per detection, so it speculates
-/// exactly what it accepts. Seeds a streaming sweep settles from their
-/// first-ball lists run no detection and appear in no round. The
-/// telemetry is a *byproduct* of the schedule and — unlike the
-/// clustering — not worker-count invariant.
+/// Detection telemetry of one or more peel passes: one width-1 round
+/// per `detect_one` call. Seeds a streaming sweep settles from their
+/// first-ball lists run no detection and appear in no round.
+/// Benchmark-only, like [`RoundStats`]: the repository benchmark reads
+/// `speculated`, `rounds` and [`Self::wasted`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PeelStats {
     /// Per-round telemetry of every round, in order.
     pub rounds: Vec<RoundStats>,
-    /// Total seeds whose detection was launched.
+    /// Total detections run.
     pub speculated: u64,
-    /// Total detections committed as clusters.
-    pub accepted: u64,
-    /// Total speculations discarded as absorbed.
-    pub absorbed: u64,
-    /// Total speculations discarded to a conflict re-run.
-    pub rerun: u64,
 }
 
 impl PeelStats {
-    /// Rounds that hit at least one conflict re-run.
-    pub fn conflict_rounds(&self) -> usize {
-        self.rounds.iter().filter(|r| r.rerun > 0).count()
-    }
-
-    /// Fraction of rounds with a conflict (0.0 when no round ran).
-    pub fn conflict_rate(&self) -> f64 {
-        if self.rounds.is_empty() {
-            0.0
-        } else {
-            self.conflict_rounds() as f64 / self.rounds.len() as f64
-        }
-    }
-
-    /// Total detections whose work was thrown away.
+    /// Detections whose work was thrown away: always 0, because every
+    /// detection is kept.
     pub fn wasted(&self) -> u64 {
-        self.absorbed + self.rerun
-    }
-
-    /// Mean round width (0.0 when no round ran).
-    pub fn mean_width(&self) -> f64 {
-        if self.rounds.is_empty() {
-            0.0
-        } else {
-            self.rounds.iter().map(|r| r.speculated as f64).sum::<f64>() / self.rounds.len() as f64
-        }
+        0
     }
 
     /// Drops all but the most recent `keep` per-round entries. The
@@ -139,31 +63,24 @@ impl PeelStats {
         }
     }
 
-    fn record_round(&mut self, round: RoundStats) {
+    fn record_detection(&mut self) {
         let m = obs_metrics();
         m.rounds.inc();
-        m.speculated.add(round.speculated as u64);
-        m.accepted.add(round.accepted as u64);
-        m.absorbed.add(round.absorbed as u64);
-        m.rerun.add(round.rerun as u64);
-        self.speculated += round.speculated as u64;
-        self.accepted += round.accepted as u64;
-        self.absorbed += round.absorbed as u64;
-        self.rerun += round.rerun as u64;
-        self.rounds.push(round);
+        m.speculated.inc();
+        m.accepted.inc();
+        self.speculated += 1;
+        self.rounds.push(RoundStats { speculated: 1, accepted: 1 });
     }
 }
 
 /// Process-wide write-only peel telemetry — the cross-pass aggregate
 /// of every [`PeelStats`] this process accumulates, published for
-/// `/metrics`. `PeelStats` itself stays the per-driver source of
-/// truth; these counters only ever receive the same increments.
+/// `/metrics`. Each counter grows by one per detection; they are kept
+/// for the repository benchmark and the service smoke test.
 struct PeelMetrics {
     rounds: std::sync::Arc<alid_obs::Counter>,
     speculated: std::sync::Arc<alid_obs::Counter>,
     accepted: std::sync::Arc<alid_obs::Counter>,
-    absorbed: std::sync::Arc<alid_obs::Counter>,
-    rerun: std::sync::Arc<alid_obs::Counter>,
 }
 
 fn obs_metrics() -> &'static PeelMetrics {
@@ -171,11 +88,7 @@ fn obs_metrics() -> &'static PeelMetrics {
     M.get_or_init(|| {
         let r = alid_obs::global();
         PeelMetrics {
-            rounds: r.counter(
-                "alid_peel_rounds_total",
-                "Peel rounds run (one width-1 round per detection under a single worker)",
-                &[],
-            ),
+            rounds: r.counter("alid_peel_rounds_total", "Peel rounds run (one per detection)", &[]),
             speculated: r.counter(
                 "alid_peel_speculated_total",
                 "Seeds whose detection was launched",
@@ -184,16 +97,6 @@ fn obs_metrics() -> &'static PeelMetrics {
             accepted: r.counter(
                 "alid_peel_accepted_total",
                 "Detections committed as clusters",
-                &[],
-            ),
-            absorbed: r.counter(
-                "alid_peel_absorbed_total",
-                "Speculations discarded because an earlier acceptance absorbed their seed",
-                &[],
-            ),
-            rerun: r.counter(
-                "alid_peel_rerun_total",
-                "Speculations discarded to a conflict re-run",
                 &[],
             ),
         }
@@ -232,21 +135,17 @@ impl<'a> FirstBalls<'a> {
 }
 
 /// One full detect-and-peel pass over the alive items of an existing
-/// index, in rounds of concurrent seeds on `params.exec` (see the
-/// module docs). Seeds scan ascending from `from`; every detection
-/// peels its members plus its seed. Returns `(seed, cluster)` pairs in
-/// detection order — for any worker count, exactly the pairs the
-/// sequential protocol produces. Round telemetry accumulates into
-/// `stats`.
+/// index: take the lowest alive seed, detect, peel its members plus the
+/// seed, repeat. Seeds scan ascending from `from`. Returns `(seed,
+/// cluster)` pairs in detection order. Every `detect_one` call opens
+/// one `peel.round` span and counts into `stats`.
 ///
-/// With `first_balls`, the lowest alive seed is first checked against
-/// its list, at its own turn: an earlier detection may still absorb an
-/// item whose first ball was empty when the pass began. While that
-/// seed is lone, the pass records it as the singleton
-/// `{members: [seed], weights: [1.0], density: 0.0}` and tombstones it,
-/// with no `detect_one` and no round; the first seed that is not lone
-/// opens a round as usual. A pass only removes items, so the singleton
-/// is the one `detect_one` would return.
+/// With `first_balls`, each seed is first checked against its list, at
+/// its own turn: an earlier detection may still absorb an item whose
+/// first ball was empty when the pass began. A lone seed is recorded as
+/// the singleton `{members: [seed], weights: [1.0], density: 0.0}` and
+/// tombstoned, with no `detect_one`. A pass only removes items, so the
+/// singleton is the one `detect_one` would return.
 ///
 /// Shared by [`Peeler::detect_all`] (fresh index over a batch),
 /// [`detect_on_subset`] and `StreamingAlid::sweep` (the streaming
@@ -264,92 +163,25 @@ pub(crate) fn peel_pass(
     stats: &mut PeelStats,
 ) -> Vec<(u32, DetectedCluster)> {
     let n = ds.len() as u32;
-    let max_width = params.exec.worker_count();
-    let mut width = max_width;
     let mut next_seed = from;
     let mut detections = Vec::new();
-    loop {
-        if let Some(balls) = first_balls.as_deref_mut() {
-            while let Some(seed) = next_alive_from(index, &mut next_seed, n) {
-                if !balls.lone(index, seed) {
-                    break;
-                }
-                let cluster =
-                    DetectedCluster { members: vec![seed], weights: vec![1.0], density: 0.0 };
-                debug_assert!(
-                    same_bits(&detect_one(ds, params, index, seed, cost).cluster, &cluster),
-                    "seed {seed} has an empty first ball, but detect_one grows it"
-                );
-                index.remove(seed);
-                detections.push((seed, cluster));
-            }
-        }
-        let Some(seeds) = next_alive_batch_from(index, &mut next_seed, n, width) else { break };
-        let mut round_span = alid_obs::trace::span("peel.round");
-        round_span.count("width", seeds.len() as u64);
-        let outcomes = params.exec.map_tasks(&seeds, |&s| detect_one(ds, params, index, s, cost));
-        // Accept speculative results in seed order while each
-        // detection's read set is untouched by this round's peels.
-        let mut round = RoundStats { speculated: seeds.len(), ..RoundStats::default() };
-        let mut resume = None;
-        for (k, out) in outcomes.into_iter().enumerate() {
-            let seed = seeds[k];
-            if k > 0 {
-                if !index.is_alive(seed) {
-                    // An accepted cluster absorbed this seed; the
-                    // sequential pass would never seed it. Its
-                    // speculative result is simply discarded.
-                    round.absorbed += 1;
-                    continue;
-                }
-                // Tombstones older than this round can never appear in
-                // `touched` (the detection could not retrieve them), so
-                // any dead read-set entry was peeled by an earlier
-                // acceptance *in this round* — the trace is stale and
-                // everything from here on must be re-run against the
-                // updated index.
-                if out.touched.iter().any(|&t| !index.is_alive(t)) {
-                    resume = Some(seed);
-                    // The conflicting seed and every *alive* seed after
-                    // it re-run next round; trailing seeds already
-                    // peeled by this round's acceptances never will —
-                    // the sequential protocol classifies them absorbed.
-                    round.rerun = 1;
-                    for &s in &seeds[k + 1..] {
-                        if index.is_alive(s) {
-                            round.rerun += 1;
-                        } else {
-                            round.absorbed += 1;
-                        }
-                    }
-                    break;
-                }
-            }
-            peel(index, seed, &out.cluster.members);
-            detections.push((seed, out.cluster));
-            round.accepted += 1;
-        }
-        next_seed = resume.unwrap_or_else(|| seeds.last().map(|&s| s + 1).unwrap_or(next_seed));
-        width = next_width(seeds.len(), round.wasted(), max_width);
-        round_span.count("accepted", round.accepted as u64);
-        round_span.count("absorbed", round.absorbed as u64);
-        round_span.count("rerun", round.rerun as u64);
-        drop(round_span);
-        stats.record_round(round);
+    while let Some(seed) = next_alive_from(index, &mut next_seed, n) {
+        let cluster = if first_balls.as_deref_mut().is_some_and(|b| b.lone(index, seed)) {
+            let cluster = DetectedCluster { members: vec![seed], weights: vec![1.0], density: 0.0 };
+            debug_assert!(
+                same_bits(&detect_one(ds, params, index, seed, cost).cluster, &cluster),
+                "seed {seed} has an empty first ball, but detect_one grows it"
+            );
+            cluster
+        } else {
+            let _round = alid_obs::trace::span("peel.round");
+            stats.record_detection();
+            detect_one(ds, params, index, seed, cost).cluster
+        };
+        peel(index, seed, &cluster.members);
+        detections.push((seed, cluster));
     }
     detections
-}
-
-/// The width of the next round after one that speculated `width`
-/// seeds and discarded `wasted` of them (absorbed or re-run): double
-/// after a clean round, halve after a wasteful one, always within
-/// `[1, max_width]`.
-fn next_width(width: usize, wasted: usize, max_width: usize) -> usize {
-    if wasted == 0 {
-        (width * 2).min(max_width)
-    } else {
-        (width / 2).max(1)
-    }
 }
 
 /// Tombstones one detection's support plus its seed. The dynamics may
@@ -380,8 +212,7 @@ fn same_bits(a: &DetectedCluster, b: &DetectedCluster) -> bool {
 /// `subset` lists the rows to detect over, strictly ascending. The
 /// rows are compacted into a private [`Dataset`], a fresh LSH index is
 /// built over them with `params.lsh`, and the shared `peel_pass`
-/// runs to exhaustion — the same LID/ROI/CIVS machinery, honouring
-/// `params.exec` (byte-identical for any worker count).
+/// runs to exhaustion — the same LID/ROI/CIVS machinery.
 /// Returned clusters carry members mapped **back into `ds`'s id
 /// space**, ascending; the caller applies the dominance filter, as
 /// with [`Peeler::detect_all`].
@@ -440,27 +271,6 @@ fn next_alive_from(index: &LshIndex, cursor: &mut u32, n: u32) -> Option<u32> {
     None
 }
 
-/// The next `width` alive seeds in ascending order, without advancing
-/// the cursor past the first (rejected speculations must be able to
-/// re-seed). `None` once everything is peeled.
-fn next_alive_batch_from(
-    index: &LshIndex,
-    cursor: &mut u32,
-    n: u32,
-    width: usize,
-) -> Option<Vec<u32>> {
-    let first = next_alive_from(index, cursor, n)?;
-    let mut seeds = vec![first];
-    let mut s = first + 1;
-    while s < n && seeds.len() < width {
-        if index.is_alive(s) {
-            seeds.push(s);
-        }
-        s += 1;
-    }
-    Some(seeds)
-}
-
 /// Owns the LSH index and the alive set for one full detection pass.
 pub struct Peeler<'a> {
     ds: &'a Dataset,
@@ -499,18 +309,12 @@ impl<'a> Peeler<'a> {
     /// Runs the pass to exhaustion and returns every detected cluster
     /// (dominant and noise alike — filter with
     /// [`Clustering::dominant`]).
-    ///
-    /// With a parallel [`AlidParams::exec`] policy the pass runs
-    /// speculative multi-seed detection (see the module docs); the
-    /// output is byte-identical to the sequential pass for every worker
-    /// count.
     pub fn detect_all(self) -> Clustering {
         self.detect_all_with_stats().0
     }
 
-    /// [`Self::detect_all`] plus the pass's conflict telemetry. The
-    /// clustering is worker-count invariant; the [`PeelStats`] are a
-    /// property of the schedule that ran.
+    /// [`Self::detect_all`] plus the pass's [`PeelStats`].
+    /// Benchmark-only: the repository benchmark reads the stats.
     pub fn detect_all_with_stats(mut self) -> (Clustering, PeelStats) {
         let mut stats = PeelStats::default();
         let mut clustering = Clustering::new(self.ds.len());
@@ -604,43 +408,10 @@ mod tests {
             Peeler::new(&ds, params(&ds), CostModel::shared()).detect_all_with_stats();
         assert_eq!(stats.rounds.len(), clustering.len(), "one round per detection");
         for r in &stats.rounds {
-            assert_eq!(*r, RoundStats { speculated: 1, accepted: 1, absorbed: 0, rerun: 0 });
+            assert_eq!(*r, RoundStats { speculated: 1, accepted: 1 });
         }
-        assert_eq!(stats.accepted, clustering.len() as u64);
-        assert_eq!(stats.speculated, stats.accepted);
+        assert_eq!(stats.speculated, clustering.len() as u64);
         assert_eq!(stats.wasted(), 0);
-        assert_eq!(stats.conflict_rate(), 0.0);
-        assert_eq!(stats.mean_width(), 1.0);
-    }
-
-    #[test]
-    fn round_width_is_aimd_within_bounds() {
-        assert_eq!(next_width(4, 0, 8), 8, "clean round doubles");
-        assert_eq!(next_width(8, 0, 8), 8, "bounded by the worker count");
-        assert_eq!(next_width(8, 3, 8), 4, "wasted work halves");
-        assert_eq!(next_width(1, 1, 8), 1, "never below one seed");
-        assert_eq!(next_width(1, 0, 1), 1, "a single worker stays at width 1");
-    }
-
-    #[test]
-    fn speculative_stats_account_for_every_speculation() {
-        let ds = fixture();
-        for workers in [2usize, 4, 8] {
-            let p = params(&ds).with_exec(alid_exec::ExecPolicy::workers(workers));
-            let (clustering, stats) =
-                Peeler::new(&ds, p, CostModel::shared()).detect_all_with_stats();
-            assert_eq!(stats.accepted, clustering.len() as u64, "{workers} workers");
-            assert!(!stats.rounds.is_empty(), "{workers} workers");
-            assert_eq!(
-                stats.speculated,
-                stats.accepted + stats.absorbed + stats.rerun,
-                "{workers} workers: every speculation is accepted, absorbed or re-run"
-            );
-            for r in &stats.rounds {
-                assert!(r.speculated >= 1 && r.speculated <= workers, "{workers} workers: {r:?}");
-                assert_eq!(r.speculated, r.accepted + r.absorbed + r.rerun, "{r:?}");
-            }
-        }
     }
 
     #[test]

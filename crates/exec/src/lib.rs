@@ -9,8 +9,9 @@
 //! [`ExecPolicy::map_tasks`], which runs `f(i)` for every index on a
 //! work-stealing schedule and returns the results in **task order**
 //! regardless of which worker ran what. Its users are PALID's mappers
-//! (one ALID detection per seed), speculative peeling, the service's
-//! per-shard drain and sweep, and the linter's file scan.
+//! (one ALID detection per seed), the service's per-shard drain and
+//! sweep, and the linter's file scan. Peeling and the streaming sweep
+//! run one seed at a time and never enter it.
 //!
 //! The map is deterministic: the value computed for index `i` depends
 //! only on `i`, never on scheduling, and result `i` is written into
@@ -58,9 +59,8 @@ fn heuristic_chunk(n: usize, workers: usize) -> usize {
 /// How a parallel phase should execute: on how many workers.
 ///
 /// The policy travels inside parameter structs (`AlidParams`,
-/// `PalidParams`) so every fan-out — PALID mapping, multi-seed peeling,
-/// the service's per-shard drain and sweep — draws its worker count
-/// from one place.
+/// `PalidParams`) so every fan-out — PALID mapping, the service's
+/// per-shard drain and sweep — draws its worker count from one place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPolicy {
     workers: NonZeroUsize,

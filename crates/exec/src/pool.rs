@@ -3,9 +3,8 @@
 //!
 //! Spawning `workers - 1` OS threads *per phase* via
 //! `std::thread::scope` is fine for long phases, wasteful for the many
-//! short ones a full detection pass issues (one per speculative
-//! peeling round, one per service drain, ...). This module amortizes
-//! that cost:
+//! short ones a running service starts (one per drain or forced
+//! sweep). This module amortizes that cost:
 //!
 //! * **lifecycle** — the pool is a process-wide singleton created on
 //!   the first parallel phase. It grows lazily to the largest
@@ -27,11 +26,13 @@
 //!   `i` into slot `i`, so any mapping of logical workers onto pool
 //!   threads — including all of them running serially on one thread —
 //!   produces identical bytes.
-//! * **nesting / panics** — a phase waiter helps drain the shared job
-//!   queue while it waits, so a phase started from inside a pool job
-//!   cannot deadlock the pool; a panicking body is caught, the latch
-//!   still counts down, and the payload is rethrown on the calling
-//!   thread once the phase has fully drained.
+//! * **nesting / panics** — no phase in the workspace starts inside
+//!   another (peeling runs sequentially, so a shard's sweep dispatches
+//!   nothing), but a phase waiter still helps run its own phase's
+//!   queued jobs while it waits, so a nested phase could not deadlock
+//!   the pool; a panicking body is caught, the latch still counts
+//!   down, and the payload is rethrown on the calling thread once the
+//!   phase has fully drained.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -183,8 +184,8 @@ impl Phase {
 /// jobs make progress.
 ///
 /// Own-phase-only helping is a correctness requirement, not an
-/// optimization: the waiting thread may hold caller locks (a service
-/// shard mutex around a nested sweep phase, say), and running a
+/// optimization: the waiting thread may hold caller locks (a mutex
+/// held across a nested phase, say), and running a
 /// *foreign* job here would import that job's lock acquisitions into
 /// the current lock context — if the foreign job tries to take a lock
 /// this very thread already holds, the process deadlocks. Own jobs

@@ -807,7 +807,9 @@ fn test_ranges(lx: &Lexed) -> Vec<(usize, usize)> {
                 .any(|x| x.kind == Kind::Ident && (x.text == "test" || x.text == "bench"));
             if is_test_attr {
                 // The attributed item: from past the `]` to its `{`'s
-                // matching brace (or `;`).
+                // matching brace (or `;`). A struct field,
+                // struct-literal entry or enum variant ends at its `,`
+                // or at the `}` that closes the struct.
                 let mut j = close + 1;
                 // Skip further attributes.
                 while scan::is_at(t, j, "#") && scan::is_at(t, j + 1, "[") {
@@ -827,6 +829,7 @@ fn test_ranges(lx: &Lexed) -> Vec<(usize, usize)> {
                     }
                     j += 1;
                 }
+                let entry = is_entry(t, j);
                 let mut depth = 0i32;
                 let mut open = usize::MAX;
                 while j < t.len() {
@@ -838,6 +841,7 @@ fn test_ranges(lx: &Lexed) -> Vec<(usize, usize)> {
                             break;
                         }
                         ";" if depth == 0 => break,
+                        "," | "}" if depth == 0 && entry => break,
                         _ => {}
                     }
                     j += 1;
@@ -851,6 +855,28 @@ fn test_ranges(lx: &Lexed) -> Vec<(usize, usize)> {
         i += 1;
     }
     out
+}
+
+/// Whether the tokens from `j` start a struct field, struct-literal
+/// entry or enum variant (`name: …`, `pub name: …`, `name(…)` or the
+/// shorthand `name,`) rather than an item, whose first token is a
+/// keyword.
+fn is_entry(t: &[Tok], mut j: usize) -> bool {
+    if scan::is_at(t, j, "pub") {
+        j += 1;
+        if scan::is_at(t, j, "(") {
+            while j < t.len() && !scan::is(&t[j], ")") {
+                j += 1;
+            }
+            j += 1;
+        }
+    }
+    t.get(j).is_some_and(|x| x.kind == Kind::Ident)
+        && match t.get(j + 1).map(|x| x.text.as_str()) {
+            Some(":") => !scan::is_at(t, j + 2, ":"),
+            Some(",") | Some("}") | Some("(") => true,
+            _ => false,
+        }
 }
 
 /// Struct fields: `name: Type` rows at brace depth 1 of a

@@ -41,10 +41,13 @@
 //! // alid-lint: allow(no-unordered-iteration) -- drained into a Vec and sorted below
 //! ```
 //!
-//! An empty reason is itself an error (`bad-allow`), as is an unknown
-//! rule name. Findings are emitted as a human table, JSON or SARIF;
-//! `--deny` turns any finding into a non-zero exit for CI. See
-//! DESIGN.md, "Enforced invariants" and "Interprocedural analysis".
+//! Only plain comments annotate; a doc comment, like the example
+//! above, never does. An empty reason is itself an error
+//! (`bad-allow`), as are an unknown rule name and an annotation that
+//! suppresses nothing under the enabled rules. Findings are emitted
+//! as a human table, JSON or SARIF; `--deny` turns any finding into a
+//! non-zero exit for CI. See DESIGN.md, "Enforced invariants" and
+//! "Interprocedural analysis".
 
 #![forbid(unsafe_code)]
 
@@ -208,28 +211,38 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config, pol: &ExecPolicy) ->
     let mut scanned: Vec<Scanned> = pol.map_tasks(files, |(rel, src)| scan_file(rel, src, cfg));
     let mut units = Vec::with_capacity(scanned.len());
     let mut findings = Vec::new();
-    let mut allows: Vec<(String, Vec<Allow>)> = Vec::new();
+    let mut allows: Vec<(String, Allow)> = Vec::new();
     for s in scanned.drain(..) {
         findings.extend(s.local);
         findings.extend(s.bad);
-        allows.push((s.unit.rel.clone(), s.allows));
+        allows.extend(s.allows.into_iter().map(|a| (s.unit.rel.clone(), a)));
         units.push(s.unit);
     }
     let g = callgraph::Graph::build(&units);
     let sums = lockset::summarize(&units, &g, cfg);
     findings.extend(lockset::check(&units, &g, &sums, cfg));
     let mut suppressed = 0usize;
+    let mut used = vec![false; allows.len()];
     findings.retain(|f| {
-        let covered = f.rule != "bad-allow"
-            && allows.iter().any(|(rel, aa)| {
-                rel == &f.file
-                    && aa.iter().any(|a| a.covers(f.line) && a.rules.iter().any(|r| r == &f.rule))
-            });
-        if covered {
-            suppressed += 1;
+        let mut covered = false;
+        for ((rel, a), used) in allows.iter().zip(&mut used) {
+            if rel == &f.file && a.covers(f.line) && a.rules.contains(&f.rule) {
+                covered = true;
+                *used = true;
+            }
         }
+        suppressed += usize::from(covered);
         !covered
     });
+    // An allow that covered nothing under its enabled rules is stale:
+    // the code it excused has changed, or the rule never applied there.
+    for ((rel, a), &used) in allows.iter().zip(&used) {
+        if !used && a.rules.iter().any(|r| cfg.rule_on(r)) {
+            let (file, rule) = (rel.clone(), "bad-allow".to_string());
+            let msg = format!("`allow({})` suppresses nothing; delete it", a.rules.join(", "));
+            findings.push(Finding { file, line: a.line, rule, msg });
+        }
+    }
     findings.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.msg).cmp(&(&b.file, b.line, &b.rule, &b.msg))
     });
@@ -250,6 +263,8 @@ pub fn lint_source(rel: &str, src: &str, cfg: &Config) -> (Vec<Finding>, usize) 
 /// (so one annotation above a multi-line statement covers all of it).
 struct Allow {
     rules: Vec<String>,
+    /// The annotation's own line.
+    line: u32,
     from: u32,
     to: u32,
 }
@@ -265,7 +280,8 @@ const MARKER: &str = "alid-lint:";
 fn parse_allows(rel: &str, lx: &lexer::Lexed) -> (Vec<Allow>, Vec<Finding>) {
     let mut allows = Vec::new();
     let mut bad = Vec::new();
-    for c in &lx.comments {
+    let docs = ["///", "//!", "/**", "/*!"];
+    for c in lx.comments.iter().filter(|c| !docs.iter().any(|d| c.text.starts_with(d))) {
         for (off, text) in c.text.lines().enumerate() {
             let line = c.line + off as u32;
             let Some(at) = text.find(MARKER) else { continue };
@@ -322,7 +338,7 @@ fn parse_allows(rel: &str, lx: &lexer::Lexed) -> (Vec<Allow>, Vec<Finding>) {
                     }
                 }
             }
-            allows.push(Allow { rules: names, from, to });
+            allows.push(Allow { rules: names, line, from, to });
         }
     }
     (allows, bad)

@@ -86,8 +86,11 @@ fn raw_threads_and_time_fire_and_suppress() {
         assert_eq!(lines(&f, "no-raw-threads"), vec![6, 12], "{path}");
         assert_eq!(lines(&f, "no-raw-time"), vec![16, 21], "{path}");
     }
+    // Neither rule applies to the allowlisted pool file, so the only
+    // findings there are the fixture's two annotations, as stale.
     let (f, _) = lint_source("crates/exec/src/pool.rs", &fixture("timing.rs"), &cfg);
-    assert!(f.is_empty(), "the pool file is allowlisted: {f:?}");
+    assert_eq!(lines(&f, "bad-allow"), vec![25, 30], "{f:?}");
+    assert_eq!(f.len(), 2, "the pool file is allowlisted: {f:?}");
 }
 
 #[test]
@@ -203,6 +206,18 @@ fn block_method_names_count_only_outside_the_workspace() {
     assert_eq!(lines(&rep.findings, "block-under-lock"), vec![35], "{:#?}", rep.findings);
 }
 
+/// A `#[cfg(test)]` field or struct-literal entry ends at its comma,
+/// so the production `impl` after it stays in the call graph, while a
+/// generic test fn still covers its whole body.
+#[test]
+fn test_attributes_on_fields_end_at_the_entry() {
+    let files = vec![("lockset/test_field.rs".to_string(), fixture("lockset/test_field.rs"))];
+    let rep = lint_files(&files, &Config::all_paths(), &ExecPolicy::sequential());
+    assert_eq!(lines(&rep.findings, "panic-under-lock"), vec![45], "{:#?}", rep.findings);
+    assert_eq!(lines(&rep.findings, "exec-under-lock"), vec![45], "{:#?}", rep.findings);
+    assert_eq!(rep.findings.len(), 2, "{:#?}", rep.findings);
+}
+
 #[test]
 fn lockset_fires_only_the_four_rules() {
     let (f, _) = lint_lockset(&Config::all_paths());
@@ -254,6 +269,20 @@ fn malformed_annotations_are_findings_themselves() {
     cfg.enabled.clear();
     let (f, _) = lint_fixture("allow_bad.rs", &cfg);
     assert_eq!(lines(&f, "bad-allow").len(), 5);
+}
+
+/// An annotation must suppress something under the enabled rules: a
+/// stale one is a finding, a used one is not, and disabling its rule
+/// silences the report.
+#[test]
+fn stale_annotations_are_findings() {
+    let (f, suppressed) = lint_fixture("allow_stale.rs", &Config::all_paths());
+    assert_eq!(lines(&f, "bad-allow"), vec![10], "{f:?}");
+    assert_eq!(f.len(), 1, "only the stale annotation may fire: {f:?}");
+    assert_eq!(suppressed, 1, "the used annotation still suppresses");
+
+    let (f, _) = lint_fixture("allow_stale.rs", &without("no-fma"));
+    assert!(f.is_empty(), "a disabled rule's annotations are not stale: {f:?}");
 }
 
 /// Raw-string hash depths, nested block comments, lifetime-vs-char and

@@ -143,8 +143,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// Attaches (or bumps) a payload counter, e.g. `workers`,
-    /// `speculated`. No-op while tracing is disabled.
+    /// Attaches (or bumps) a payload counter, e.g. `workers`. No-op
+    /// while tracing is disabled.
     pub fn count(&mut self, key: &'static str, value: u64) {
         if let Some(inner) = &mut self.inner {
             match inner.event.counters.iter_mut().find(|(k, _)| *k == key) {

@@ -28,9 +28,7 @@ pub const DETECTION_USAGE: &str = "\
     \x20 --min-size <m>          minimum cluster size (default 3)\n\
     \x20 --delta <n>             CIVS candidate cap, at least 1 (default 800)\n\
     \x20 --seed <s>              detection seed (LSH; PALID's task list too),\n\
-    \x20                         decimal or 0x-hex (default 42)\n\
-    \x20 --workers <w>           exec-layer worker threads (default: auto = all\n\
-    \x20                         cores; output is byte-identical for any count)";
+    \x20                         decimal or 0x-hex (default 42)";
 
 /// The detection flags `alid detect` and `alid serve` share, holding
 /// their defaults until [`DetectionFlags::apply`] overrides them.
@@ -43,7 +41,6 @@ pub struct DetectionFlags {
     min_size: usize,
     delta: usize,
     seed: u64,
-    workers: Option<usize>,
 }
 
 impl Default for DetectionFlags {
@@ -56,7 +53,6 @@ impl Default for DetectionFlags {
             min_size: 3,
             delta: 800,
             seed: 42,
-            workers: None,
         }
     }
 }
@@ -65,8 +61,8 @@ impl DetectionFlags {
     /// Applies `flag` when it is one of the shared detection flags,
     /// taking its value from `args`; returns `Ok(false)`, with `args`
     /// untouched, for any other argument. Values are checked one by
-    /// one here (`--delta` and `--workers` must be at least 1); the
-    /// rules that relate flags are checked by [`Self::params`].
+    /// one here (`--delta` must be at least 1); the rules that relate
+    /// flags are checked by [`Self::params`].
     ///
     /// # Errors
     /// A missing or malformed value.
@@ -84,15 +80,9 @@ impl DetectionFlags {
             "--min-size" => self.min_size = number(flag, value()?)?,
             "--delta" => self.delta = at_least_one(flag, number(flag, value()?)?)?,
             "--seed" => self.seed = parse_seed(flag, value()?)?,
-            "--workers" => self.workers = Some(at_least_one(flag, number(flag, value()?)?)?),
             _ => return Ok(false),
         }
         Ok(true)
-    }
-
-    /// The execution policy `--workers` selects (all cores by default).
-    pub fn exec(&self) -> ExecPolicy {
-        ExecPolicy::auto_or(self.workers)
     }
 
     /// The detection parameters the flags describe: the kernel from
@@ -129,7 +119,6 @@ impl DetectionFlags {
         params.density_threshold = self.min_density;
         params.min_cluster_size = self.min_size;
         params.lsh.seed = self.seed;
-        params.exec = self.exec();
         Ok(params)
     }
 }
@@ -170,6 +159,9 @@ fn usage() -> String {
         \x20 --batch <n>             per-shard sweep period (default 32)\n\
         \x20 --queue <n>             per-shard admission queue bound (default 1024)\n\
         \x20 --http-workers <n>      acceptor threads (default 4)\n\
+        \x20 --workers <w>           exec-layer worker threads of the fan-out across\n\
+        \x20                         shards, fresh or restored (default: auto = all\n\
+        \x20                         cores; output is byte-identical for any count)\n\
         \x20 --snapshot <path>       restore from this snapshot if it exists; also\n\
         \x20                         the default target of POST /snapshot\n\
         \x20 --journal <dir>         durable append-only journal of applied\n\
@@ -188,7 +180,7 @@ fn usage() -> String {
         \x20 --router-seed <s>       routing hyperplane seed (default 0xa11d)\n\
          \n\
          detection (a fresh start; a restored snapshot carries its own\n\
-         parameters, and --workers applies to both):\n\
+         parameters):\n\
         \x20 --dim <d>               feature dimensionality (required)\n\
          {DETECTION_USAGE}\n\
         \x20 --help"
@@ -206,6 +198,8 @@ struct ServeOptions {
     batch: usize,
     queue: usize,
     http_workers: usize,
+    /// `--workers`: the fan-out across shards, fresh or restored.
+    exec: ExecPolicy,
     snapshot: Option<PathBuf>,
     journal: Option<PathBuf>,
     compact_every: u64,
@@ -223,6 +217,7 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
         batch: 32,
         queue: 1024,
         http_workers: 4,
+        exec: ExecPolicy::auto(),
         snapshot: None,
         journal: None,
         compact_every: 8 << 20,
@@ -247,6 +242,10 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
             "--batch" => o.batch = number(arg, take(arg)?).map_err(with_usage)?,
             "--queue" => o.queue = number(arg, take(arg)?).map_err(with_usage)?,
             "--http-workers" => o.http_workers = number(arg, take(arg)?).map_err(with_usage)?,
+            "--workers" => {
+                let n = number(arg, take(arg)?).map_err(with_usage)?;
+                o.exec = ExecPolicy::workers(at_least_one(arg, n).map_err(with_usage)?);
+            }
             "--snapshot" => o.snapshot = Some(PathBuf::from(take("--snapshot")?)),
             "--journal" => o.journal = Some(PathBuf::from(take("--journal")?)),
             "--compact-every" => {
@@ -274,8 +273,10 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
 fn fresh_service(o: &ServeOptions) -> Result<Service, String> {
     let dim = o.dim.ok_or_else(|| with_usage("--dim is required for a fresh start".into()))?;
     let params = o.detection.params().map_err(with_usage)?;
-    let mut cfg =
-        ServiceConfig::new(dim, o.shards, params).with_batch(o.batch).with_queue_capacity(o.queue);
+    let mut cfg = ServiceConfig::new(dim, o.shards, params)
+        .with_batch(o.batch)
+        .with_queue_capacity(o.queue)
+        .with_exec(o.exec);
     cfg.router_bits = o.router_bits;
     cfg.router_seed = o.router_seed;
     // The ceiling restore applies: every service serve starts can be
@@ -325,7 +326,7 @@ pub fn serve_main(args: &[String]) -> Result<(), ServeError> {
         Some(path) if path.exists() => {
             let bytes = std::fs::read(path)
                 .map_err(|e| ServeError::Failed(format!("reading {}: {e}", path.display())))?;
-            let (svc, meta) = snapshot::restore_with_meta(&bytes, o.detection.exec())
+            let (svc, meta) = snapshot::restore_with_meta(&bytes, o.exec)
                 .map_err(|e| ServeError::Failed(format!("restoring {}: {e}", path.display())))?;
             note(format_args!(
                 "restored {} items / {} shards from {}",
@@ -479,14 +480,14 @@ mod tests {
     fn detection_flags_build_the_documented_params() {
         let p = params_of(
             "--scale 0.5 --target-affinity 0.8 --min-density 0.6 --min-size 4 --delta 32 \
-             --seed 0x7 --workers 3",
+             --seed 0x7",
         )
         .unwrap();
         let kernel = LaplacianKernel::calibrate(0.5, 0.8, LpNorm::L2);
         assert_eq!(p.kernel.k.to_bits(), kernel.k.to_bits());
         assert_eq!(p.first_roi_radius.to_bits(), kernel.distance_at(0.5).to_bits());
         assert_eq!((p.density_threshold, p.min_cluster_size), (0.6, 4));
-        assert_eq!((p.delta, p.lsh.seed, p.exec.worker_count()), (32, 7, 3));
+        assert_eq!((p.delta, p.lsh.seed), (32, 7));
         let d = params_of("--k 2").unwrap();
         assert_eq!((d.kernel.k, d.delta, d.lsh.seed), (2.0, 800, 42));
         assert_eq!((d.density_threshold, d.min_cluster_size), (0.75, 3));
@@ -494,18 +495,21 @@ mod tests {
 
     #[test]
     fn other_arguments_are_left_to_the_caller() {
-        let a = args(&["--shards", "2"]);
-        let mut it = a.iter();
-        let arg = it.next().unwrap();
-        assert!(!DetectionFlags::default().apply(arg, &mut it).unwrap());
-        assert_eq!(it.next().map(String::as_str), Some("2"), "the value is not consumed");
+        for flag in ["--shards", "--workers"] {
+            let a = args(&[flag, "2"]);
+            let mut it = a.iter();
+            let arg = it.next().unwrap();
+            assert!(!DetectionFlags::default().apply(arg, &mut it).unwrap(), "{flag}");
+            assert_eq!(it.next().map(String::as_str), Some("2"), "the value is not consumed");
+        }
+        let o = parse(&args(&["--workers", "3", "--dim", "2", "--k", "1"])).unwrap();
+        assert_eq!(fresh_service(&o).unwrap().config().params.exec.worker_count(), 3);
     }
 
     #[test]
     fn bad_detection_flags_are_errors() {
         for (line, want) in [
             ("--k 2 --delta 0", "--delta must be at least 1"),
-            ("--k 2 --workers 0", "--workers must be at least 1"),
             ("--k 2 --min-size -3", "--min-size"),
             ("--scale", "--scale needs a value"),
             ("--scale -1", "positive finite"),
@@ -528,6 +532,9 @@ mod tests {
     fn zero_structural_values_rejected() {
         assert!(parse(&args(&["--shards", "0"])).is_err());
         assert!(parse(&args(&["--batch", "0"])).is_err());
+        let err = parse(&args(&["--workers", "0"])).unwrap_err();
+        assert!(err.contains("--workers must be at least 1"), "{err}");
+        assert!(err.contains("usage: alid serve"), "{err}");
     }
 
     #[test]

@@ -635,7 +635,6 @@ fn dispatch(
 /// registry (exec pool, peeler, tracer).
 fn metrics_text(service: &Service) -> Reply {
     use alid_obs::expo;
-    // alid-lint: allow(no-metric-branching) -- this IS the exposition surface
     let mut out = service.metrics_registry().render_prometheus();
     let depths = service.depths();
     type DepthPick = fn(&crate::service::ShardDepth) -> f64;
@@ -656,7 +655,6 @@ fn metrics_text(service: &Service) -> Reply {
             expo::write_sample(&mut out, name, &labels, &format!("{}", pick(d)));
         }
     }
-    // alid-lint: allow(no-metric-branching) -- this IS the exposition surface
     out.push_str(&alid_obs::global().render_prometheus());
     Reply { body: Body::Text(out), headers: Vec::new() }
 }

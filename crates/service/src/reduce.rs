@@ -31,8 +31,7 @@
 //!    threshold; linked fragments are grouped (union-find) and each
 //!    group's member union is re-detected with
 //!    [`alid_core::detect_on_subset`] — the full LID/ROI/CIVS
-//!    dynamics on the union, honouring `ExecPolicy`, byte-identical
-//!    for any worker count.
+//!    dynamics on the union.
 //! 4. **Max-density resolution**: the original fragments and the
 //!    dominant union re-detections all stand as *claims* on their
 //!    member ids, resolved exactly like the paper's reducer — highest
@@ -336,8 +335,8 @@ struct Claim {
 /// Stages 3 + 4 on an extracted cut: re-detect each group's member
 /// union, then resolve all claims — the raw fragments *and* the
 /// dominant union re-detections — by maximum density with the
-/// deterministic tie-break. Runs lock-free; `params.exec` parallelism
-/// inside the re-detections never changes a byte of the output.
+/// deterministic tie-break. Runs lock-free, and the re-detections peel
+/// sequentially.
 pub(crate) fn merge(cut: ReduceCut, params: &AlidParams, cost: &Arc<CostModel>) -> MergedView {
     let mut claims: Vec<Claim> = cut
         .fragments

@@ -45,8 +45,8 @@ pub struct ServiceConfig {
     pub router_seed: u64,
     /// Detection parameters handed to every shard. `params.exec` is
     /// the service's one execution policy: drains and forced sweeps
-    /// fan out across shards on it, and each shard's sweep peels on
-    /// it.
+    /// fan out across shards on it. Each shard's sweep peels
+    /// sequentially.
     pub params: AlidParams,
 }
 
@@ -632,7 +632,6 @@ impl Service {
         while (shard.stream.len() as u64) < upto {
             let Some(v) = shard.queue.pop_front() else { break };
             report.applied += 1;
-            // alid-lint: allow(exec-under-lock) -- the sweep this may trigger runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
             // alid-lint: allow(panic-under-lock) -- queued vectors were dim-checked at ingest admission, or when their admit frame decoded on replay; push's dim assert cannot fire here
             match shard.stream.push(&v) {
                 StreamUpdate::Attached(_) => report.attached += 1,
@@ -656,7 +655,6 @@ impl Service {
     /// journals the `Sweep` frame.
     fn sweep_shard(&self, s: usize) -> usize {
         let mut shard = self.shard(s);
-        // alid-lint: allow(exec-under-lock) -- the sweep runs a nested peel phase under the shard lock; it cannot deadlock, because a phase waiter helps only its own phase's jobs (crates/exec/src/pool.rs) and peel jobs take no lock
         // alid-lint: allow(panic-under-lock) -- sweep's asserts are internal invariants over ingest-validated data; a failure means corrupted shard state, where fail-fast poisoning beats serving wrong clusters
         let promoted = shard.stream.sweep();
         if let Some(journal) = &self.journal {

@@ -88,9 +88,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
     let input = input.ok_or_else(usage)?;
-    // Auto-parallelism is on by default (results are byte-identical for
-    // any worker count); --workers pins the count, --workers 1 restores
-    // the sequential pass and its minimal cost trace.
     let params = detection.params().map_err(with_usage)?;
     Ok(Options { input, params, parallel, assignments })
 }

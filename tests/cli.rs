@@ -49,7 +49,7 @@ fn run_with_closed(args: &[&str], close_stdout: bool) -> Output {
 fn closed_stdout_ends_the_run_with_exit_0_and_no_message() {
     let path = csv("stdout");
     let input = path.to_str().expect("UTF-8 temp path");
-    let detect = ["detect", input, "--scale", "0.05", "--workers", "1", "--assignments"];
+    let detect = ["detect", input, "--scale", "0.05", "--assignments"];
     let serve = ["serve", "--dim", "2", "--k", "1", "--addr", "127.0.0.1:0", "--http-workers", "1"];
     for args in [&detect[..], &["lint", "--help"][..], &serve[..]] {
         let out = run_with_closed(args, true);
@@ -69,6 +69,8 @@ fn closed_stderr_keeps_the_usage_exit_code() {
     let input = path.to_str().expect("UTF-8 temp path");
     for args in [
         &["detect", input, "--scale", "0.05", "--delta", "0"][..],
+        // Peeling reads no worker count, so `detect` takes no --workers.
+        &["detect", input, "--scale", "0.05", "--workers", "2"][..],
         &["serve", "--delta", "0"][..],
         &["lint", "--bogus"][..],
     ] {

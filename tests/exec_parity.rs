@@ -1,9 +1,11 @@
 //! Exec-layer parity: every fan-out that runs on the shared execution
-//! layer — PALID's mappers, speculative peeling and the streaming
-//! sweep — must produce byte-identical output for every worker count.
-//! Parallelism in this workspace buys wall-clock time only — never a
-//! different answer. The matrix builds and the baselines have one
-//! sequential implementation each, so they have nothing to compare.
+//! layer — PALID's mappers — must produce byte-identical output for
+//! every worker count, and the sequential paths (batch peeling and
+//! the streaming sweep) must not see the worker count at all: same
+//! clusters, same cost counters. Parallelism in this workspace buys
+//! wall-clock time only — never a different answer. The matrix builds
+//! and the baselines have one sequential implementation each, so they
+//! have nothing to compare.
 //!
 //! Each case computes its 1-worker baseline once and sweeps the
 //! multi-worker counts `{2, 4, 8}` against it; CI sets
@@ -11,6 +13,7 @@
 //! suite a second time with an extra worker count, so regressions that
 //! only bite off the single-CPU path cannot slip in silently.
 
+use alid::affinity::CostSnapshot;
 use alid::data::sift::{sift, SiftConfig};
 use alid::prelude::*;
 
@@ -68,13 +71,19 @@ fn palid_clustering_is_byte_identical_across_executor_counts() {
     }
 }
 
+/// Peeling runs one seed at a time whatever the policy, so the worker
+/// count changes neither the clusters nor the work the cost model
+/// records: kernel evaluations, peak matrix entries and aux bytes.
 #[test]
-fn speculative_parallel_peeling_matches_sequential_on_sift() {
+fn peeling_output_and_cost_are_identical_across_worker_counts_on_sift() {
     let (ds, params) = workload();
-    let sequential = Peeler::new(&ds.data, params, CostModel::shared()).detect_all();
+    let cost = CostModel::shared();
+    let sequential = Peeler::new(&ds.data, params, std::sync::Arc::clone(&cost)).detect_all();
+    let sequential_cost = cost.snapshot();
     for workers in parity_workers() {
         let p = params.with_exec(ExecPolicy::workers(workers));
-        let parallel = Peeler::new(&ds.data, p, CostModel::shared()).detect_all();
+        let cost = CostModel::shared();
+        let parallel = Peeler::new(&ds.data, p, std::sync::Arc::clone(&cost)).detect_all();
         assert_eq!(
             sequential.clusters.len(),
             parallel.clusters.len(),
@@ -87,75 +96,7 @@ fn speculative_parallel_peeling_matches_sequential_on_sift() {
             assert_eq!(aw, bw, "{workers} workers changed weights");
             assert_eq!(a.density.to_bits(), b.density.to_bits());
         }
-    }
-}
-
-/// The conflict-heavy workload shared with `bench_speculation`
-/// (`alid_bench::fixtures::pair_chain`): interleaved-id pairs whose
-/// read sets cover their id-neighbours while their clusters never do,
-/// so any round speculating more than one seed conflicts —
-/// speculation's worst case, and exactly where the round width must
-/// adapt.
-fn interleaved_pairs_workload() -> (Dataset, AlidParams) {
-    alid_bench::fixtures::pair_chain(12, 0.5)
-}
-
-#[test]
-fn conflict_heavy_speculation_stays_byte_identical_and_reports_reruns() {
-    let (ds, params) = interleaved_pairs_workload();
-    let (sequential, seq_stats) =
-        Peeler::new(&ds, params, CostModel::shared()).detect_all_with_stats();
-    // The fixture really is the pair chain (a detection per pair).
-    assert_eq!(sequential.clusters.len(), 12);
-    for (b, c) in sequential.clusters.iter().enumerate() {
-        assert_eq!(c.members, vec![b as u32, 12 + b as u32], "pair {b}");
-    }
-    // A single worker runs width-1 rounds: each holds one seed and
-    // wastes nothing.
-    let single_seed_rounds = |stats: &PeelStats| {
-        assert_eq!(stats.rounds.len(), 12, "one round per detection: {stats:?}");
-        assert!(stats.rounds.iter().all(|r| r.speculated == 1 && r.wasted() == 0), "{stats:?}");
-        assert_eq!(stats.wasted(), 0);
-    };
-    single_seed_rounds(&seq_stats);
-    for workers in parity_workers() {
-        let p = params.with_exec(ExecPolicy::workers(workers));
-        let (parallel, stats) = Peeler::new(&ds, p, CostModel::shared()).detect_all_with_stats();
-        assert_eq!(
-            sequential.clusters.len(),
-            parallel.clusters.len(),
-            "{workers} workers changed the cluster count"
-        );
-        for (a, b) in sequential.clusters.iter().zip(&parallel.clusters) {
-            assert_eq!(a.members, b.members, "{workers} workers");
-            let aw: Vec<u64> = a.weights.iter().map(|w| w.to_bits()).collect();
-            let bw: Vec<u64> = b.weights.iter().map(|w| w.to_bits()).collect();
-            assert_eq!(aw, bw, "{workers} workers changed weights");
-            assert_eq!(a.density.to_bits(), b.density.to_bits(), "{workers} workers");
-        }
-        if workers == 1 {
-            // `ALID_TEST_WORKERS=1` is a legal env value.
-            single_seed_rounds(&stats);
-            continue;
-        }
-        // The telemetry must expose the conflicts the fixture
-        // manufactures: every accepted pair invalidates the next
-        // id's read set, so re-runs are guaranteed at any width > 1.
-        assert!(stats.rerun > 0, "{workers} workers: no re-runs reported: {stats:?}");
-        assert_eq!(
-            stats.speculated,
-            stats.accepted + stats.absorbed + stats.rerun,
-            "{workers} workers: speculation accounting leaks"
-        );
-        assert_eq!(stats.accepted, 12, "{workers} workers");
-        if workers > 2 {
-            // Every round wider than one seed conflicts here, so the
-            // width halves away from the worker count it starts at.
-            assert!(
-                stats.mean_width() < workers as f64,
-                "{workers} workers: the round width never adapted: {stats:?}"
-            );
-        }
+        assert_eq!(cost.snapshot(), sequential_cost, "{workers} workers changed the cost");
     }
 }
 
@@ -168,25 +109,28 @@ fn exec_policy_auto_reports_at_least_one_worker() {
 }
 
 /// Replays the same arrival sequence through `StreamingAlid` under a
-/// given policy; the mid-stream and final states must be worker-count
-/// invariant because every sweep rides the speculative peel pass.
-fn run_stream(params: AlidParams, workers: usize) -> StreamingAlid {
+/// given policy, returning the stream and the work its cost model
+/// recorded.
+fn run_stream(params: AlidParams, workers: usize) -> (StreamingAlid, CostSnapshot) {
     let p = params.with_exec(ExecPolicy::workers(workers));
     let (ds, _) = workload();
-    let mut s = StreamingAlid::new(ds.data.dim(), p, 16, CostModel::shared());
+    let cost = CostModel::shared();
+    let mut s = StreamingAlid::new(ds.data.dim(), p, 16, std::sync::Arc::clone(&cost));
     for i in 0..ds.data.len().min(220) {
         s.push(ds.data.get(i));
     }
     s.sweep();
-    s
+    (s, cost.snapshot())
 }
 
+/// Sweeps peel one seed at a time, so the mid-stream and final states
+/// and the recorded work are the same for every worker count.
 #[test]
-fn streaming_sweep_is_byte_identical_across_worker_counts() {
+fn streaming_output_and_cost_are_identical_across_worker_counts() {
     let (_, params) = workload();
-    let seq = run_stream(params, 1);
+    let (seq, seq_cost) = run_stream(params, 1);
     for workers in parity_workers() {
-        let par = run_stream(params, workers);
+        let (par, par_cost) = run_stream(params, workers);
         assert_eq!(par.pending(), seq.pending(), "{workers} workers changed the buffer");
         assert_eq!(par.assignments(), seq.assignments(), "{workers} workers");
         assert_eq!(par.clusters().len(), seq.clusters().len(), "{workers} workers");
@@ -197,6 +141,7 @@ fn streaming_sweep_is_byte_identical_across_worker_counts() {
             assert_eq!(aw, bw, "{workers} workers changed weights");
             assert_eq!(a.density.to_bits(), b.density.to_bits(), "{workers} workers");
         }
+        assert_eq!(par_cost, seq_cost, "{workers} workers changed the cost");
     }
 }
 

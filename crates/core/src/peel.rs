@@ -429,29 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_parallel_pass_matches_sequential_exactly() {
-        let ds = fixture();
-        let sequential = Peeler::new(&ds, params(&ds), CostModel::shared()).detect_all();
-        for workers in [2usize, 3, 8] {
-            let p = params(&ds).with_exec(alid_exec::ExecPolicy::workers(workers));
-            let parallel = Peeler::new(&ds, p, CostModel::shared()).detect_all();
-            assert_eq!(
-                sequential.clusters.len(),
-                parallel.clusters.len(),
-                "{workers} workers changed the cluster count"
-            );
-            for (a, b) in sequential.clusters.iter().zip(&parallel.clusters) {
-                assert_eq!(a.members, b.members, "{workers} workers changed members");
-                assert_eq!(a.weights, b.weights, "{workers} workers changed weights");
-                assert!(
-                    (a.density - b.density).abs() == 0.0,
-                    "{workers} workers changed density bit-for-bit"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn detect_on_subset_matches_full_pass_on_a_clusters_members() {
         let ds = fixture();
         let p = params(&ds);
@@ -481,22 +458,6 @@ mod tests {
         assert_eq!(seen, subset, "every subset row detected exactly once, in ds ids");
         let b = out.iter().find(|c| c.members.contains(&6)).expect("cluster B re-detected");
         assert_eq!(b.members, vec![6, 7, 8, 9, 10]);
-    }
-
-    #[test]
-    fn detect_on_subset_is_worker_count_invariant() {
-        let ds = fixture();
-        let subset: Vec<u32> = (0..ds.len() as u32).collect();
-        let seq = detect_on_subset(&ds, &subset, &params(&ds), &CostModel::shared());
-        for workers in [2usize, 4, 8] {
-            let p = params(&ds).with_exec(alid_exec::ExecPolicy::workers(workers));
-            let par = detect_on_subset(&ds, &subset, &p, &CostModel::shared());
-            assert_eq!(seq.len(), par.len(), "{workers} workers");
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.members, b.members, "{workers} workers");
-                assert_eq!(a.density.to_bits(), b.density.to_bits(), "{workers} workers");
-            }
-        }
     }
 
     #[test]

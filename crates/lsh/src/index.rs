@@ -114,8 +114,9 @@ impl LshIndex {
     /// Inserts a new item with the next id (`= len()` before the call),
     /// hashing it into every table. This is the one hashing path: the
     /// batch [`Self::build`] runs it over every row, and the online ALID
-    /// extension runs it per arrival; the vector must also be appended
-    /// to the backing [`Dataset`] by the caller.
+    /// extension runs it per arrival through [`Self::insert_and_query`];
+    /// the vector must also be appended to the backing [`Dataset`] by
+    /// the caller.
     ///
     /// The signature scratch buffer is owned by the index, so steady
     /// ingest performs no per-item allocation (bucket growth aside),
@@ -126,16 +127,45 @@ impl LshIndex {
     /// # Panics
     /// Panics if `v`'s dimensionality differs from the index's.
     pub fn insert(&mut self, v: &[f64]) -> u32 {
+        self.insert_into(v, None)
+    }
+
+    /// [`Self::insert`] followed by [`Self::query`] of the same vector,
+    /// hashing it once: the new id and the alive items sharing a bucket
+    /// with it, the item itself included, deduplicated and sorted
+    /// ascending. The bucket entries visited are counted as `query`
+    /// counts them. The streaming ingest path runs this per arrival.
+    ///
+    /// # Panics
+    /// Panics if `v`'s dimensionality differs from the index's.
+    pub fn insert_and_query(&mut self, v: &[f64]) -> (u32, Vec<u32>) {
+        let mut hits = Vec::new();
+        let id = self.insert_into(v, Some(&mut hits));
+        hits.sort_unstable();
+        hits.dedup();
+        (id, hits)
+    }
+
+    /// Hashes `v` into every table under the next id; with `hits`, also
+    /// pushes the alive members of each bucket it joined onto `hits`.
+    fn insert_into(&mut self, v: &[f64], mut hits: Option<&mut Vec<u32>>) -> u32 {
         assert_eq!(v.len(), self.dim, "inserted vector dimensionality mismatch");
         let id = self.alive.len() as u32;
+        self.alive.push(true);
+        self.alive_count += 1;
         let mut signature = std::mem::take(&mut self.scratch);
+        let mut visited = 0;
         for t in 0..self.tables.len() {
             let key = self.key_into(t, v, &mut signature);
             self.tables[t].buckets.entry(key).or_default().push(id);
+            if let Some(out) = hits.as_deref_mut() {
+                visited += self.scan_bucket(t, key, out);
+            }
         }
         self.scratch = signature;
-        self.alive.push(true);
-        self.alive_count += 1;
+        if hits.is_some() {
+            bucket_entries().add(visited as u64);
+        }
         self.cost.record_aux_bytes((self.params.tables * 4 + 1) as u64);
         id
     }
@@ -274,9 +304,10 @@ impl LshIndex {
 }
 
 /// `alid_work_total{phase="lsh",unit="bucket_entries"}`: bucket
-/// entries visited by `query_into` and `multi_query`, tombstones
-/// included, added once per call. Registered by the first query, so
-/// `/metrics` reports 0 rather than omitting the series.
+/// entries visited by `query_into`, `multi_query` and
+/// `insert_and_query`, tombstones included, added once per call.
+/// Registered by the first query, so `/metrics` reports 0 rather than
+/// omitting the series.
 fn bucket_entries() -> &'static alid_obs::Counter {
     static COUNTER: OnceLock<Arc<alid_obs::Counter>> = OnceLock::new();
     COUNTER.get_or_init(|| {
@@ -451,6 +482,41 @@ mod tests {
                 incremental.query(full.get(probe)),
                 "query {probe} diverged"
             );
+        }
+    }
+
+    /// One hashing pass gives what `insert` then `query` give, with
+    /// tombstones in place and after they are cleared, and visits at
+    /// least the entries of the buckets the item joined.
+    #[test]
+    fn insert_and_query_equals_insert_then_query() {
+        let ds = blob_dataset();
+        let mut fused = build(&ds, 1.0);
+        let mut twin = build(&ds, 1.0);
+        for id in [0, 1, 5, 22, 40] {
+            fused.remove(id);
+            twin.remove(id);
+        }
+        let probes = [[0.005, -0.005], [50.01, 49.99], [3.0, 3.0], [0.015, -0.015]];
+        for (round, probe) in probes.iter().enumerate() {
+            if round == 2 {
+                fused.restore_all();
+                twin.restore_all();
+            }
+            let mut signature = vec![0u64; fused.params.projections];
+            let before = bucket_entries().metric_value();
+            let (id, hits) = fused.insert_and_query(probe);
+            let visited: usize = (0..fused.tables.len())
+                .map(|t| fused.tables[t].buckets[&fused.key_into(t, probe, &mut signature)].len())
+                .sum();
+            assert!(bucket_entries().metric_value() - before >= visited as u64);
+            let twin_id = twin.insert(probe);
+            assert_eq!((id, &hits), (twin_id, &twin.query(probe)), "probe {round}");
+            assert!(hits.contains(&id), "probe {round}: the item is its own bucket-mate");
+            assert_eq!(fused.alive_count(), twin.alive_count());
+        }
+        for v in ds.iter().chain(probes.iter().map(|p| &p[..])) {
+            assert_eq!(fused.query(v), twin.query(v), "buckets diverged at {v:?}");
         }
     }
 
